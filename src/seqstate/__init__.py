@@ -9,7 +9,7 @@ from .cohort import (Cohort, SplitSpec, Trajectory, compute_norm_stats,
                      decode_action, encode_action, load_cohort, save_cohort,
                      stratified_split, surrogate_acuity, znormalize)
 from .encoders import (EncoderModel, LatentSequence, build_encoder,
-                       encode_trajectory, predict_next_obs)
+                       encode_many, encode_trajectory, predict_next_obs)
 from .policy import (BCPolicy, QPolicy, TransitionBuffer, bcq_filter,
                      behavior_clone, build_buffer, train_bcq, wis_evaluate)
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -22,8 +22,8 @@ __all__ = [
     "Cohort", "SplitSpec", "Trajectory", "compute_norm_stats",
     "decode_action", "encode_action", "load_cohort", "save_cohort",
     "stratified_split", "surrogate_acuity", "znormalize",
-    "EncoderModel", "LatentSequence", "build_encoder", "encode_trajectory",
-    "predict_next_obs",
+    "EncoderModel", "LatentSequence", "build_encoder", "encode_many",
+    "encode_trajectory", "predict_next_obs",
     "BCPolicy", "QPolicy", "TransitionBuffer", "bcq_filter", "behavior_clone",
     "build_buffer", "train_bcq", "wis_evaluate",
     "SyntheticConfig", "generate_synthetic",

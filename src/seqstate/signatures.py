@@ -144,15 +144,17 @@ def sig2_stream(x) -> Tensor:
     """Fused depth-2 stream signature of a batch of paths (B, T, C).
 
     Returns (B, T, 1 + C + C^2) with the same row convention as
-    :func:`stream_signature`. One primitive with an analytic backward pass,
-    so no (B, T, C, C) intermediates are kept alive in the graph.
+    :func:`stream_signature`; a one-point path gives the trivial row, so a
+    one-step stay encodes like any other. One primitive with an analytic
+    backward pass, so no (B, T, C, C) intermediates are kept alive in the
+    graph.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.ndim != 3:
         raise ValueError("sig2_stream expects (B, T, C)")
     bsz, t_len, channels = x.shape
-    if t_len < 2:
-        raise ValueError("sig2_stream needs at least 2 path points")
+    if t_len < 1:
+        raise ValueError("sig2_stream needs at least 1 path point")
 
     data = x.data
     d_x = data[:, 1:] - data[:, :-1]                      # (B, T-1, C)

@@ -8,7 +8,7 @@ from seqstate import nn
 from seqstate.autodiff import Tensor
 from seqstate.cohort import Trajectory, compute_norm_stats, znormalize
 from seqstate.encoders import (D_S_GRID, INPUT_MODES, KINDS,
-                               PARAM_COUNT_RANGES, build_encoder,
+                               PARAM_COUNT_RANGES, build_encoder, encode_many,
                                encode_trajectory, make_batch, model_forward,
                                predict_next_obs)
 from seqstate.synthetic import generate_synthetic
@@ -113,6 +113,44 @@ def test_encode_shape_and_finiteness(kind):
         lat = encode_trajectory(model, traj).latents
         assert lat.shape == (traj.n_steps, 16)
         assert np.all(np.isfinite(lat))
+
+
+def _truncated(traj, n_steps, patient_id):
+    return Trajectory(patient_id, traj.obs[:n_steps], traj.demog,
+                      traj.actions[:n_steps], traj.sofa[:n_steps],
+                      traj.saps2[:n_steps], traj.oasis[:n_steps], traj.outcome)
+
+
+@pytest.mark.parametrize("mode", INPUT_MODES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_encode_many_matches_per_patient(kind, mode):
+    trajs = _normed_trajs(12, seed=10)
+    trajs.append(_truncated(trajs[0], 1, "one-step"))
+    trajs = [trajs[i] for i in np.random.default_rng(11).permutation(len(trajs))]
+    assert len({t.n_steps for t in trajs}) >= 4
+    model = build_encoder(kind, 4, mode, seed=12)
+    batched = encode_many(model, trajs)
+    assert len(batched) == len(trajs)
+    for traj, lat in zip(trajs, batched):
+        ref = encode_trajectory(model, traj)
+        assert ref.trajectory_id == traj.patient_id
+        assert lat.shape == (traj.n_steps, 4)
+        assert np.abs(lat - ref.latents).max() <= 1e-12
+
+
+def test_encode_many_names_the_non_finite_patient():
+    trajs = _normed_trajs(12, seed=13)
+    bad = trajs[5]
+    obs = bad.obs.copy()
+    obs[1, 0] = np.inf
+    trajs[5] = Trajectory("patient-inf", obs, bad.demog, bad.actions, bad.sofa,
+                          bad.saps2, bad.oasis, bad.outcome)
+    model = build_encoder("ae", 4, "obs", seed=14)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError, match="patient-inf"):
+            encode_many(model, trajs)
+        with pytest.raises(RuntimeError, match="patient-inf"):
+            encode_trajectory(model, trajs[5])
 
 
 @pytest.mark.parametrize("kind", KINDS)

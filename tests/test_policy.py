@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqstate.cohort import SplitSpec, compute_norm_stats, stratified_split, znormalize
-from seqstate.encoders import build_encoder
-from seqstate.policy import (BCConfig, BCQConfig, TransitionBuffer,
+from seqstate.encoders import build_encoder, encode_trajectory
+from seqstate.policy import (PROB_FLOOR, TERMINAL_REWARD, WEIGHT_CLIP, BCConfig,
+                             BCQConfig, TransitionBuffer, WisEvalSet,
                              _q_target_values, bcq_filter, behavior_clone,
                              build_buffer, make_eval_set, train_bcq,
                              trajectory_weights, wis_evaluate,
@@ -56,6 +57,28 @@ def test_buffer_deterministic_rebuild():
     assert np.array_equal(a.sample(32)[0], b.sample(32)[0])
 
 
+def test_buffer_matches_per_step_reference():
+    model, train, _ = _encoded_setup(120, seed=3)
+    states, actions, rewards, next_states, done = [], [], [], [], []
+    for traj in train:
+        lat = encode_trajectory(model, traj).latents
+        t_len = lat.shape[0]
+        for t in range(t_len):
+            terminal = t == t_len - 1
+            states.append(lat[t])
+            actions.append(traj.actions[t])
+            rewards.append(TERMINAL_REWARD[traj.outcome] if terminal else 0.0)
+            next_states.append(np.zeros_like(lat[t]) if terminal else lat[t + 1])
+            done.append(terminal)
+    buf = build_buffer(model, train)
+    assert np.abs(buf.states - np.array(states)).max() <= 1e-12
+    assert np.abs(buf.next_states - np.array(next_states)).max() <= 1e-12
+    assert buf.actions.dtype == np.int64
+    assert np.array_equal(buf.actions, np.array(actions))
+    assert np.array_equal(buf.rewards, np.array(rewards))
+    assert np.array_equal(buf.done, np.array(done))
+
+
 def test_buffer_empty_split_rejected():
     model, _, _ = _encoded_setup(120, seed=4)
     with pytest.raises(ValueError):
@@ -90,6 +113,13 @@ def test_filter_never_empty():
         logits = rng.normal(size=25) * 10
         probs = np.exp(logits) / np.exp(logits).sum()
         assert bcq_filter(probs, 1.0).sum() >= 1
+
+
+def test_filter_one_row_batch_keeps_its_shape():
+    probs = np.random.default_rng(1).dirichlet(np.ones(25), size=1)
+    mask = bcq_filter(probs, 0.3)
+    assert mask.shape == (1, 25)
+    assert np.array_equal(mask[0], bcq_filter(probs[0], 0.3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,6 +303,48 @@ def test_trajectory_weights_clipped_and_finite():
     weights = trajectory_weights(policy, behavior, make_eval_set(model, test))
     assert np.all(np.isfinite(weights))
     assert np.all((weights >= 1e-8) & (weights <= 1e8))
+
+
+def test_trajectory_weights_match_product_formula():
+    model, train, test = _encoded_setup(120, seed=10)
+    buf = build_buffer(model, train)
+    behavior = behavior_clone(buf, BCConfig(iterations=200, seed=16))
+    policy, _ = train_bcq(buf, BCQConfig(iterations=200, eval_period=10**9, seed=17))
+    eval_set = make_eval_set(model, test)
+    expected = []
+    for lat, acts in zip(eval_set.latents, eval_set.actions):
+        rows = np.arange(len(acts))
+        pi_e = policy.eval_action_probs(lat)[rows, acts]
+        pi_b = behavior.probs(lat)[rows, acts]
+        ratios = pi_e / np.maximum(pi_b, PROB_FLOOR)
+        expected.append(np.clip(np.prod(ratios), *WEIGHT_CLIP))
+    np.testing.assert_allclose(trajectory_weights(policy, behavior, eval_set),
+                               expected, rtol=1e-12, atol=0)
+
+
+class _StepRatioPolicy:
+    """Puts probability ``hi`` on action 0 in the first half of a stay
+    (state[0] < 0) and ``lo`` after it."""
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    def _probs(self, states):
+        p = np.where(states[:, :1] < 0, self.hi, self.lo)
+        return np.broadcast_to(p, (len(states), 25)).copy()
+
+    eval_action_probs = probs = _probs
+
+
+def test_trajectory_weights_cancel_in_log_space():
+    # ratios of 1e12 for 30 steps, then 1e-12 for 30: the running product
+    # overflows to inf and would clip to 1e8, the true product is 1
+    states = np.where(np.arange(60)[:, None] < 30, -1.0, 1.0) * np.ones((60, 2))
+    eval_set = WisEvalSet([states], [np.zeros(60, dtype=np.int64)], np.array([1.0]))
+    weights = trajectory_weights(_StepRatioPolicy(1.0, 1e-12),
+                                 _StepRatioPolicy(1e-12, 1.0), eval_set)
+    assert weights.shape == (1,)
+    assert weights[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bcq_curve_emitted_at_eval_period():

@@ -140,6 +140,14 @@ def test_fused_batch_stream_matches_general():
         assert np.max(np.abs(fused[b] - general)) < 1e-12
 
 
+def test_fused_stream_of_one_point_is_trivial():
+    out = sig2_stream(np.ones((3, 1, 4))).data
+    trivial = np.zeros(1 + 4 + 16)
+    trivial[0] = 1.0
+    assert out.shape == (3, 1, 21)
+    assert np.array_equal(out, np.broadcast_to(trivial, (3, 1, 21)))
+
+
 def test_signature_grad_checks():
     rng = np.random.default_rng(8)
     path = rng.normal(size=(4, 2))
