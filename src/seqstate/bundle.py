@@ -14,6 +14,7 @@ doubles with no textual conversion.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -48,37 +49,49 @@ def save_bundle(path: str | Path, tag: str, arrays: dict[str, np.ndarray]) -> No
 
 
 def load_bundle(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
+    """Read a bundle; every length is checked against the bytes left before
+    it is read, so a truncated or corrupt file raises BundleFormatError."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise BundleFormatError(f"{path}: not a parameter bundle")
     pos = 4
 
-    def read(fmt: str):
+    def take(size: int, what: str) -> bytes:
         nonlocal pos
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, raw, pos)
+        if size > len(raw) - pos:
+            raise BundleFormatError(
+                f"{path}: truncated bundle ({what} needs {size} bytes at "
+                f"offset {pos}, {len(raw) - pos} left)"
+            )
+        chunk = raw[pos:pos + size]
         pos += size
-        return values
+        return chunk
 
-    (tag_len,) = read("<I")
-    tag = raw[pos:pos + tag_len].decode("utf-8")
-    pos += tag_len
-    (count,) = read("<I")
+    def read(fmt: str, what: str):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def text(what: str) -> str:
+        (length,) = read("<I", f"{what} length")
+        try:
+            return take(length, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BundleFormatError(f"{path}: {what} is not utf-8") from exc
+
+    tag = text("tag")
+    (count,) = read("<I", "array count")
     headers = []
     for _ in range(count):
-        (name_len,) = read("<I")
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = read("<I")
-        shape = read(f"<{ndim}Q") if ndim else ()
+        name = text("array name")
+        (ndim,) = read("<I", f"rank of {name}")
+        shape = read(f"<{ndim}Q", f"shape of {name}") if ndim else ()
         headers.append((name, tuple(int(s) for s in shape)))
     arrays: dict[str, np.ndarray] = {}
     for name, shape in headers:
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = 8 * n
-        arr = np.frombuffer(raw[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
-        pos += nbytes
-        arrays[name] = arr
+        payload = take(8 * math.prod(shape), f"data of {name}")
+        try:
+            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # an extent numpy cannot index
+            raise BundleFormatError(f"{path}: bad shape {shape} for {name}") from exc
     if pos != len(raw):
         raise BundleFormatError(f"{path}: trailing bytes in bundle")
     return tag, arrays

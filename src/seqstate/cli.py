@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -22,13 +21,14 @@ import numpy as np
 from .analysis import (REFERENCE_BEST, SweepRow, aggregate_sweep,
                        correlation_table, endpoint_projection, pca_fit,
                        pooled_latents)
+from .bundle import BundleFormatError
 from .cohort import (Cohort, CohortError, SplitSpec, compute_norm_stats,
                      load_cohort, save_cohort, stratified_split, znormalize)
 from .encoders import D_S_GRID, KINDS, build_encoder
 from .odesolve import OdeError
 from .policy import (BCConfig, BCQConfig, behavior_clone, build_buffer,
                      make_eval_set, train_bcq, wis_evaluate)
-from .runio import (load_encoder_run, read_json, save_encoder_run,
+from .runio import (DataError, load_encoder_run, read_json, save_encoder_run,
                     save_policy_run, write_csv, write_json)
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import (REFERENCE_EPOCHS, TrainingDiverged, default_train_config,
@@ -39,8 +39,8 @@ DESK_SUBSTEPS = 1
 DESK_POLICY_ITERATIONS = 20_000
 
 
-class DataError(Exception):
-    """User-facing data problem (exit code 3)."""
+class UsageError(Exception):
+    """A flag value the command cannot run with (exit code 2)."""
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -49,7 +49,7 @@ def _load_config_file(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataError(f"config file not found: {path}")
-    return json.loads(p.read_text(encoding="utf-8"))
+    return read_json(p)
 
 
 def _resolve(flag_value, config: dict, key: str, default):
@@ -83,7 +83,10 @@ def cmd_gen_data(args, config: dict) -> int:
     n = _resolve(args.n, config, "n", 2000)
     seed = _resolve(args.seed, config, "seed", 0)
     mortality = _resolve(args.mortality, config, "mortality", 0.09)
-    cohort = generate_synthetic(n, seed, SyntheticConfig(mortality_target=mortality))
+    try:
+        cohort = generate_synthetic(n, seed, SyntheticConfig(mortality_target=mortality))
+    except ValueError as exc:  # the generator validates its arguments
+        raise UsageError(f"gen-data: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_cohort(cohort, out)
@@ -436,7 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config_file(getattr(args, "config", None))
         return args.func(args, config)
-    except (DataError, CohortError, FileNotFoundError) as exc:
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (DataError, CohortError, BundleFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (TrainingDiverged, OdeError, FloatingPointError) as exc:

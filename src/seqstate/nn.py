@@ -112,13 +112,20 @@ def gru_cell(x: Tensor, h: Tensor, p: GRUParams) -> Tensor:
     r = sigmoid(W_r x + U_r h), z = sigmoid(W_z x + U_z h),
     candidate = tanh(W_n x + U_n (r*h)), h' = (1-z)*h + z*candidate.
     """
-    hidden = p.hidden
-    if x.shape[-1] != p.w_ih.shape[0] or h.shape[-1] != hidden:
+    if x.shape[-1] != p.w_ih.shape[0] or h.shape[-1] != p.hidden:
         raise ValueError(
             f"gru_cell dimension mismatch: x {x.shape}, h {h.shape}, "
             f"w_ih {p.w_ih.shape}"
         )
-    gi = dense(x, p.w_ih, p.b_ih)
+    return gru_step(dense(x, p.w_ih, p.b_ih), h, p)
+
+
+def gru_step(gi: Tensor, h: Tensor, p: GRUParams) -> Tensor:
+    """The recurrent part of :func:`gru_cell`, given its input projection
+    ``gi = x @ w_ih + b_ih`` of width 3H."""
+    hidden = p.hidden
+    if gi.shape[-1] != 3 * hidden or h.shape[-1] != hidden:
+        raise ValueError(f"gru_step dimension mismatch: gi {gi.shape}, h {h.shape}")
     r = ad.sigmoid(ad.add(gi[..., :hidden],
                           dense(h, p.w_hh[:, :hidden], p.b_hh[:hidden])))
     z = ad.sigmoid(ad.add(gi[..., hidden:2 * hidden],

@@ -30,6 +30,12 @@ from .encoders import EncoderModel, build_encoder
 from .policy import BCPolicy, BCQConfig, CurvePoint, QPolicy
 from .training import SCORE_NAMES, EpochRecord, TrainResult
 
+
+class DataError(Exception):
+    """A missing, corrupt or mismatched input file or run artifact (CLI exit
+    code 3)."""
+
+
 HISTORY_HEADER = "epoch,train_mse,val_mse,rho_sofa,rho_saps2,rho_oasis"
 CURVE_HEADER = "iteration,wis_return,ess,q_loss,filter_loss"
 
@@ -48,26 +54,20 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_json(path: str | Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A JSON object from ``path``; a file that does not hold one raises
+    DataError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
 
 
 def _atomic_bundle(path: Path, tag: str, arrays) -> None:
@@ -140,7 +140,7 @@ def load_encoder_run(run_dir: str | Path) -> tuple[EncoderModel, NormStats, dict
     manifest = read_json(manifest_path)
     tag, arrays = load_bundle(run_dir / "model.bin")
     if tag != manifest["kind"]:
-        raise ValueError(f"{run_dir}: bundle tag {tag!r} != manifest kind")
+        raise DataError(f"{run_dir}: bundle tag {tag!r} != manifest kind")
     model = build_encoder(
         manifest["kind"], manifest["d_s"], manifest["input_mode"],
         seed=manifest.get("build_seed") or 0,

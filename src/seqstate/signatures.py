@@ -197,3 +197,69 @@ def sig2_stream(x) -> Tensor:
         x.grad[:, :-1] -= g_dx
 
     return ad.make_op(out, (x,), backward)
+
+
+def sig2_linear(x, w, b) -> Tensor:
+    """``sig2_stream(x) @ w + b`` for paths x of shape (B, T, C), without
+    building the (B, T, 1 + C + C^2) stream.
+
+    With dx_s the increment of segment s and m_s = S1_s + dx_s / 2 the
+    level-1 value at its midpoint, the level-2 row at step t is
+    sum_{s<t} m_s (x) dx_s. Its projection through the (C, C*K) level-2
+    block W2 of w is the running sum over s of dx_s . (m_s @ W2): one
+    (N, C) @ (C, C*K) GEMM forward and two backward, N = B (T - 1). One
+    primitive with an analytic backward pass; a one-point path gives
+    w[0] + b.
+    """
+    x, w, b = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, w, b))
+    if x.ndim != 3:
+        raise ValueError("sig2_linear expects x of shape (B, T, C)")
+    bsz, t_len, channels = x.shape
+    if t_len < 1:
+        raise ValueError("sig2_linear needs at least 1 path point")
+    width = 1 + channels + channels * channels
+    if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
+        raise ValueError(
+            f"sig2_linear of {channels} channels needs w of shape ({width}, K) "
+            f"and b of shape (K,); got {w.shape} and {b.shape}"
+        )
+    k_out = w.shape[1]
+    n = bsz * (t_len - 1)
+    data = x.data
+    w1 = w.data[1:1 + channels]                                   # (C, K)
+    w2 = w.data[1 + channels:].reshape(channels, channels * k_out)
+    d_x = (data[:, 1:] - data[:, :-1]).reshape(n, channels)
+    # m_s = S1_s + dx_s / 2 = (x_s + x_{s+1}) / 2 - x_0
+    mid = (0.5 * (data[:, 1:] + data[:, :-1]) - data[:, :1]).reshape(n, channels)
+
+    proj = (mid @ w2).reshape(n, channels, k_out)  # [s, d] = sum_c m_sc W2[c, d]
+    step = d_x @ w1 + np.einsum("nd,ndk->nk", d_x, proj)
+    out = np.empty((bsz, t_len, k_out))
+    out[:, 0] = w.data[0] + b.data
+    np.cumsum(step.reshape(bsz, t_len - 1, k_out), axis=1, out=out[:, 1:])
+    out[:, 1:] += out[:, :1]
+
+    def backward(g):
+        # step s reaches every output row t > s
+        g_step = np.cumsum(g[:, :0:-1], axis=1)[:, ::-1].reshape(n, k_out)
+        outer = (d_x[:, :, None] * g_step[:, None, :]).reshape(n, channels * k_out)
+        g_sum = g.sum(axis=(0, 1))
+        if b.requires_grad:
+            b._accumulate(g_sum)
+        if w.requires_grad:
+            g_w = np.empty_like(w.data)
+            g_w[0] = g_sum
+            g_w[1:1 + channels] = d_x.T @ g_step
+            g_w[1 + channels:] = (mid.T @ outer).reshape(channels * channels, k_out)
+            w._accumulate(g_w)
+        if x.requires_grad:
+            g_dx = (g_step @ w1.T + np.einsum("ndk,nk->nd", proj, g_step)
+                    ).reshape(bsz, t_len - 1, channels)
+            g_mid = (outer @ w2.T).reshape(bsz, t_len - 1, channels)
+            g_x = np.zeros_like(data)
+            g_x[:, 1:] += g_dx + 0.5 * g_mid
+            g_x[:, :-1] += 0.5 * g_mid - g_dx
+            g_x[:, 0] -= g_mid.sum(axis=1)  # every m_s is measured from x_0
+            x._accumulate(g_x)
+
+    return ad.make_op(out, (x, w, b), backward)

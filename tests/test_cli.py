@@ -243,3 +243,45 @@ def test_policy_lr_default_depends_on_encoder_kind(tmp_path, cohort_csv):
                  "--cohort", str(cohort_csv), "--iterations", "300",
                  "--eval-every", "300", "--out", str(pol)]) == 0
     assert read_json(pol / "config.json")["lr"] == 1e-5
+
+
+def test_gen_data_too_few_patients_is_usage_error(tmp_path, capsys):
+    code = main(["gen-data", "--n", "2", "--out", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert "at least 10 patients" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def _copy_run(src, dst):
+    dst.mkdir()
+    for path in src.iterdir():
+        (dst / path.name).write_bytes(path.read_bytes())
+    return dst
+
+
+def test_truncated_bundle_is_data_error(tmp_path, cohort_csv, encoder_run, capsys):
+    from seqstate.bundle import BundleFormatError, load_bundle
+
+    run = _copy_run(encoder_run, tmp_path / "run")
+    raw = (run / "model.bin").read_bytes()
+    for cut in (6, 20, len(raw) // 2, len(raw) - 1):
+        (run / "model.bin").write_bytes(raw[:cut])
+        with pytest.raises(BundleFormatError):
+            load_bundle(run / "model.bin")
+    code = main(["analyze", "--runs", str(run), "--cohort", str(cohort_csv),
+                 "--out", str(tmp_path / "a")])
+    assert code == 3
+    assert "truncated bundle" in capsys.readouterr().err
+
+
+def test_corrupt_manifest_is_data_error(tmp_path, cohort_csv, encoder_run, capsys):
+    run = _copy_run(encoder_run, tmp_path / "run")
+    text = (run / "manifest.json").read_text()
+    (run / "manifest.json").write_text(text[:len(text) // 2])
+    code = main(["train-policy", "--encoder-run", str(run),
+                 "--cohort", str(cohort_csv), "--out", str(tmp_path / "p")])
+    assert code == 3
+    assert "not valid JSON" in capsys.readouterr().err
+    code = main(["analyze", "--runs", str(run), "--cohort", str(cohort_csv),
+                 "--out", str(tmp_path / "a")])
+    assert code == 3

@@ -5,12 +5,12 @@ import pytest
 
 from seqstate import autodiff as ad
 from seqstate import nn
-from seqstate.autodiff import Tensor
+from seqstate.autodiff import Tensor, grad_check
 from seqstate.cohort import Trajectory, compute_norm_stats, znormalize
 from seqstate.encoders import (D_S_GRID, INPUT_MODES, KINDS,
-                               PARAM_COUNT_RANGES, build_encoder, encode_many,
-                               encode_trajectory, make_batch, model_forward,
-                               predict_next_obs)
+                               PARAM_COUNT_RANGES, _cde_head, build_encoder,
+                               encode_many, encode_trajectory, make_batch,
+                               model_forward, predict_next_obs)
 from seqstate.synthetic import generate_synthetic
 
 
@@ -221,3 +221,20 @@ def test_batch_masks_and_targets():
         assert batch.a_prev[i, 0].sum() == 0.0
         np.testing.assert_allclose(batch.a_prev[i, 1:t.n_steps],
                                    batch.a_curr[i, :t.n_steps - 1])
+
+
+def test_cde_head_grad_checks():
+    rng = np.random.default_rng(21)
+    d_s, channels, width = 2, 3, 4
+    pre = rng.normal(size=(3, width))
+    w = rng.normal(size=(width, d_s * channels)) * 0.5
+    b = rng.normal(size=d_s * channels) * 0.5
+    xdot = rng.normal(size=(3, channels))
+    weight = Tensor(rng.normal(size=(3, d_s)))
+
+    def loss(pre_t, w_t, b_t):
+        return ad.tsum(ad.mul(_cde_head(pre_t, w_t, b_t, xdot, d_s, channels), weight))
+
+    assert grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), pre) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(pre), t, Tensor(b)), w) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(pre), Tensor(w), t), b) < 1e-6

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from seqstate import autodiff as ad
+from seqstate import nn
 from seqstate.autodiff import Tensor, grad_check
-from seqstate.signatures import (SignatureVector, chen_product, sig2_stream,
-                                 sig_length, signature, stream_signature)
+from seqstate.signatures import (SignatureVector, chen_product, sig2_linear,
+                                 sig2_stream, sig_length, signature,
+                                 stream_signature)
 
 
 def _tensor_exp_oracle(delta, depth):
@@ -156,3 +158,52 @@ def test_signature_grad_checks():
     x = rng.normal(size=(2, 5, 3))
     err = grad_check(lambda t: ad.tsum(ad.mul(sig2_stream(t), sig2_stream(t))), x)
     assert err < 1e-7
+
+
+def _sig2_linear_case(rng, bsz, t_len, channels, k_out):
+    x = rng.normal(size=(bsz, t_len, channels))
+    w = rng.normal(size=(sig_length(channels, 2), k_out))
+    b = rng.normal(size=k_out)
+    return x, w, b
+
+
+@pytest.mark.parametrize("t_len,channels,k_out",
+                         [(t, c, 4) for t in (1, 2, 5) for c in (1, 3)]
+                         + [(19, 66, 24), (19, 32, 64)])
+def test_sig2_linear_matches_projected_stream(t_len, channels, k_out):
+    # the widths of dst's first GRU input (66 channels, 3H = 24) and of its
+    # decoder's first layer (32 channels, 64 units)
+    rng = np.random.default_rng(t_len * 100 + channels)
+    x, w, b = _sig2_linear_case(rng, 3, t_len, channels, k_out)
+    want = nn.dense(sig2_stream(x), Tensor(w), Tensor(b)).data
+    got = sig2_linear(x, w, b).data
+    assert got.shape == (3, t_len, k_out)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sig2_linear_of_one_point_is_bias_plus_level0_row():
+    rng = np.random.default_rng(11)
+    x, w, b = _sig2_linear_case(rng, 2, 1, 3, 5)
+    out = sig2_linear(x, w, b).data
+    assert np.array_equal(out, np.broadcast_to(w[0] + b, (2, 1, 5)))
+
+
+def test_sig2_linear_grad_checks():
+    rng = np.random.default_rng(12)
+    x, w, b = _sig2_linear_case(rng, 2, 4, 3, 2)
+    weight = Tensor(rng.normal(size=(2, 4, 2)))
+
+    def loss(xt, wt, bt):
+        return ad.tsum(ad.mul(sig2_linear(xt, wt, bt), weight))
+
+    assert grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), x) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(x), t, Tensor(b)), w) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(x), Tensor(w), t), b) < 1e-6
+
+
+def test_sig2_linear_rejects_mismatched_weights():
+    x = np.zeros((2, 3, 3))
+    with pytest.raises(ValueError):
+        sig2_linear(x, np.zeros((12, 2)), np.zeros(2))  # needs 13 rows
+    with pytest.raises(ValueError):
+        sig2_linear(x, np.zeros((13, 2)), np.zeros(3))

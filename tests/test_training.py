@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from seqstate.cohort import SplitSpec, compute_norm_stats, stratified_split, znormalize
-from seqstate.encoders import build_encoder, make_batch
+from seqstate import autodiff as ad
+from seqstate.cohort import (SplitSpec, Trajectory, compute_norm_stats,
+                             stratified_split, znormalize)
+from seqstate.encoders import KINDS, build_encoder, make_batch
 from seqstate.synthetic import generate_synthetic
 from seqstate.training import (TrainConfig, TrainingDiverged, batch_objective,
                                default_train_config, desk_train_config,
@@ -19,6 +21,49 @@ def _splits(n=200, seed=0, split_seed=1):
     return (znormalize(train, stats).trajectories,
             znormalize(val, stats).trajectories,
             znormalize(test, stats).trajectories)
+
+
+def _directional_derivative(model, batch, regularize, rng,
+                            steps=(1e-4, 1e-5, 1e-6)):
+    """The loss's derivative along a random unit direction over all
+    parameters, from backward() and by central differences at each step
+    (a large step may cross a ReLU kink, a small one loses digits)."""
+    tensors = dict(model.params.items())
+    theta = {n: t.data.copy() for n, t in tensors.items()}
+    v = {n: rng.standard_normal(a.shape) for n, a in theta.items()}
+    norm = np.sqrt(sum(float((d * d).sum()) for d in v.values()))
+    model.params.zero_grad()
+    batch_objective(model, batch, regularize)[0].backward()
+    analytic = sum(float((t.grad * v[n]).sum()) for n, t in tensors.items()
+                   if t.grad is not None) / norm
+
+    def loss_at(step):
+        for n, t in tensors.items():
+            t.data = theta[n] + (step / norm) * v[n]
+        with ad.no_grad():
+            return float(batch_objective(model, batch, regularize)[0].data)
+
+    numeric = [(loss_at(h) - loss_at(-h)) / (2.0 * h) for h in steps]
+    for n, t in tensors.items():
+        t.data = theta[n]
+    return analytic, numeric
+
+
+@pytest.mark.parametrize("regularize", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_objective_directional_gradient(kind, regularize):
+    train, _, _ = _splits(60, seed=4)
+    long_stays = [t for t in train if t.n_steps >= 4][:2]
+    # two patients, 4 and 3 steps, so the shorter one is padded
+    trajs = [Trajectory(t.patient_id, t.obs[:n], t.demog, t.actions[:n],
+                        t.sofa[:n], t.saps2[:n], t.oasis[:n], t.outcome)
+             for t, n in zip(long_stays, (4, 3))]
+    model = build_encoder(kind, 2, "obs", seed=5)
+    analytic, numeric = _directional_derivative(
+        model, make_batch(trajs, "obs"), regularize, np.random.default_rng(6))
+    best = min(numeric, key=lambda d: abs(d - analytic))
+    assert abs(best - analytic) <= 1e-6 * max(abs(analytic), abs(best), 1e-12), \
+        (analytic, numeric)
 
 
 def test_default_configs_follow_reference_schedules():
