@@ -1,0 +1,111 @@
+"""Golden outputs of every encoder kind and of BC/BCQ at fixed seeds.
+
+``tests/test_golden.py`` recomputes these arrays and compares them with
+``tests/data/golden.npz``. A refactor that must keep the numbers leaves that
+file alone; rewrite it only for a change that is meant to move them:
+
+    PYTHONPATH=src python tests/make_golden.py
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from seqstate import autodiff as ad
+from seqstate.cohort import Trajectory, compute_norm_stats, znormalize
+from seqstate.encoders import (INPUT_MODES, KINDS, build_encoder, make_batch,
+                               model_forward, predict_next_obs)
+from seqstate.optim import adam_init, adam_step, clip_global_norm, collect_grads
+from seqstate.policy import (BCConfig, BCQConfig, TransitionBuffer, WisEvalSet,
+                             behavior_clone, train_bcq, trajectory_weights)
+from seqstate.synthetic import generate_synthetic
+from seqstate.training import GRAD_CLIP_NORM, batch_objective
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden.npz"
+D_S = 4
+
+
+def golden_patients() -> list[Trajectory]:
+    """Two normalized patients cut to 5 and 3 steps, so one is padded."""
+    cohort = generate_synthetic(12, 0)
+    cohort = znormalize(cohort, compute_norm_stats(cohort))
+    long_stays = [t for t in cohort.trajectories if t.n_steps >= 5][:2]
+    return [Trajectory(t.patient_id, t.obs[:n], t.demog, t.actions[:n],
+                       t.sofa[:n], t.saps2[:n], t.oasis[:n], t.outcome)
+            for t, n in zip(long_stays, (5, 3))]
+
+
+def encoder_arrays(kind: str) -> dict[str, np.ndarray]:
+    """Per input mode: latents, predictions, the regularized loss and its
+    MSE part, one ``predict_next_obs`` row, and the latents after one
+    clipped Adam step of that loss."""
+    trajs = golden_patients()
+    out = {}
+    for mode in INPUT_MODES:
+        key = f"{kind}.{mode}"
+        model = build_encoder(kind, D_S, mode, seed=1)
+        batch = make_batch(trajs, mode)
+        with ad.no_grad():
+            fwd = model_forward(model, batch)
+        lat = fwd.latents.data
+        out[f"{key}.latents"] = lat
+        out[f"{key}.preds"] = fwd.preds.data
+        prefix = lat[0, :3]
+        out[f"{key}.next_obs"] = predict_next_obs(
+            model, prefix if kind == "dst" else prefix[-1],
+            int(trajs[0].actions[2]))
+
+        loss, mse_value, _, _ = batch_objective(model, batch, regularize=True)
+        out[f"{key}.loss"] = np.array([float(loss.data), mse_value])
+        loss.backward()
+        grads = collect_grads(model.params)
+        clip_global_norm(grads, GRAD_CLIP_NORM)
+        adam_step(adam_init(model.params, 1e-3), model.params, grads)
+        with ad.no_grad():
+            out[f"{key}.latents_after_step"] = model_forward(model, batch).latents.data
+    return out
+
+
+def policy_arrays() -> dict[str, np.ndarray]:
+    """BC after one step and BCQ after two, on 8 fixed states, plus WIS
+    weights. BCQ's second step reads a frozen target that differs from the
+    online network, so both halves of its regression target are covered."""
+    rng = np.random.default_rng(7)
+    n = 64
+    buf = TransitionBuffer(rng.normal(size=(n, D_S)),
+                           rng.integers(0, 25, n).astype(np.int64),
+                           rng.normal(size=n), rng.normal(size=(n, D_S)),
+                           rng.random(n) < 0.1, seed=3)
+    states = rng.normal(size=(8, D_S))
+    behavior = behavior_clone(buf, BCConfig(iterations=1, seed=4))
+    policy, _ = train_bcq(buf, BCQConfig(iterations=2, target_period=10**9,
+                                         eval_period=10**9, seed=5))
+    lengths = (4, 2, 3)
+    eval_set = WisEvalSet(
+        latents=[rng.normal(size=(k, D_S)) for k in lengths],
+        actions=[rng.integers(0, 25, k) for k in lengths],
+        returns=np.array([1.0, -1.0, 1.0]),
+    )
+    return {
+        "policy.bc.logits": behavior.logits(states),
+        "policy.bc.probs": behavior.probs(states),
+        "policy.bcq.q_values": policy.q_values(states),
+        "policy.bcq.filter_probs": policy.filter_probs(states),
+        "policy.bcq.actions": policy.select_actions(states),
+        "policy.wis.weights": trajectory_weights(policy, behavior, eval_set),
+    }
+
+
+def golden_arrays() -> dict[str, np.ndarray]:
+    out = policy_arrays()
+    for kind in KINDS:
+        out.update(encoder_arrays(kind))
+    return out
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(GOLDEN, **golden_arrays())
+    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
