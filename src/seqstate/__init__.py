@@ -1,10 +1,6 @@
 """seqstate: sequential latent-state representations and batch-constrained
 treatment policies for partially observed patient trajectories."""
 
-from .memtune import tune_allocator
-
-tune_allocator()
-
 from .cohort import (Cohort, SplitSpec, Trajectory, compute_norm_stats,
                      decode_action, encode_action, load_cohort, save_cohort,
                      stratified_split, surrogate_acuity, znormalize)

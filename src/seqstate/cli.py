@@ -52,6 +52,35 @@ def _load_config_file(path: str | None) -> dict:
     return read_json(p)
 
 
+def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The options a --config file may set: every optional flag of the
+    subcommand except --help and --config."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and not a.required
+            and a.dest not in ("help", "config")}
+
+
+def _check_config(command: str, options: dict[str, argparse.Action],
+                  config: dict) -> None:
+    """Reject config keys that are not option names, and values that the
+    option's flag would not accept."""
+    for key, value in config.items():
+        action = options.get(key)
+        if action is None:
+            raise UsageError(f"{command}: unknown config key {key!r} "
+                             f"(options: {', '.join(sorted(options))})")
+        if action.nargs == 0:  # an on/off flag
+            ok = isinstance(value, bool)
+        else:
+            kind = action.type or str
+            accepted = (int, float) if kind is float else kind
+            ok = (isinstance(value, accepted) and not isinstance(value, bool)
+                  and (action.choices is None or value in action.choices))
+        if not ok:
+            raise UsageError(f"{command}: config key {key!r} cannot take "
+                             f"{value!r}")
+
+
 def _resolve(flag_value, config: dict, key: str, default):
     """Flag beats config file beats built-in default."""
     if flag_value is not None:
@@ -135,7 +164,8 @@ def run_encoder_training(cohort_path: str, out_dir: str, kind: str, d_s: int,
 def cmd_train_encoder(args, config: dict) -> int:
     epochs = _resolve(args.epochs, config, "epochs", None)
     if epochs is None:
-        epochs = REFERENCE_EPOCHS[args.kind] if args.reference_scale else DESK_EPOCHS
+        reference = args.reference_scale or config.get("reference_scale", False)
+        epochs = REFERENCE_EPOCHS[args.kind] if reference else DESK_EPOCHS
     row = run_encoder_training(
         cohort_path=args.cohort,
         out_dir=args.out,
@@ -303,12 +333,12 @@ def cmd_analyze(args, config: dict) -> int:
         manifest = read_json(run_path / "manifest.json")
         if manifest.get("artifact") != "encoder_run":
             raise DataError(f"{run}: not an encoder run directory")
+        model, stats, manifest = load_encoder_run(run_path)
         if manifest["cohort_provenance"] != cohort.provenance:
             raise DataError(
                 f"{run}: cohort provenance mismatch "
                 f"({manifest['cohort_provenance']!r} vs {cohort.provenance!r})"
             )
-        model, stats, manifest = load_encoder_run(run_path)
         name = run_path.name
         models[name] = model
         manifests[name] = (manifest, stats)
@@ -430,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_analyze)
 
+    for p in sub.choices.values():
+        p.set_defaults(config_options=_config_options(p))
     return parser
 
 
@@ -437,7 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(getattr(args, "config", None))
+        config = _load_config_file(args.config)
+        _check_config(args.command, args.config_options, config)
         return args.func(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

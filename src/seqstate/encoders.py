@@ -169,22 +169,15 @@ def default_lambdas(kind: str) -> tuple[float, float, float]:
 
 
 def _build_ae(params, rng, d_s, n_x, meta):
-    nn.linear_params(params, rng, "enc.l1", n_x + N_ACTIONS, 64)
-    nn.linear_params(params, rng, "enc.l2", 64, 128)
-    nn.linear_params(params, rng, "enc.l3", 128, d_s)
-    nn.linear_params(params, rng, "dec.l1", d_s + N_ACTIONS, 64)
-    nn.linear_params(params, rng, "dec.l2", 64, 128)
-    nn.linear_params(params, rng, "dec.l3", 128, N_OBS)
+    nn.mlp_params(params, rng, "enc", (n_x + N_ACTIONS, 64, 128, d_s))
+    nn.mlp_params(params, rng, "dec", (d_s + N_ACTIONS, 64, 128, N_OBS))
 
 
 def _build_rnn(params, rng, d_s, n_x, meta, action_decoder=False):
-    nn.linear_params(params, rng, "enc.l1", n_x + N_ACTIONS, 64)
-    nn.linear_params(params, rng, "enc.l2", 64, 128)
+    nn.mlp_params(params, rng, "enc", (n_x + N_ACTIONS, 64, 128))
     nn.gru_params(params, rng, "enc.gru", 128, d_s)
     dec_in = d_s + N_ACTIONS if action_decoder else d_s
-    nn.linear_params(params, rng, "dec.l1", dec_in, 64)
-    nn.linear_params(params, rng, "dec.l2", 64, 128)
-    nn.linear_params(params, rng, "dec.l3", 128, N_OBS)
+    nn.mlp_params(params, rng, "dec", (dec_in, 64, 128, N_OBS))
 
 
 def _build_ais(params, rng, d_s, n_x, meta):
@@ -192,18 +185,12 @@ def _build_ais(params, rng, d_s, n_x, meta):
 
 
 def _build_ddm(params, rng, d_s, n_x, meta):
-    nn.linear_params(params, rng, "enc.l1", n_x, d_s)
-    nn.linear_params(params, rng, "enc.l2", d_s, 288)
-    nn.linear_params(params, rng, "enc.l3", 288, d_s)
-    nn.linear_params(params, rng, "act.l1", N_ACTIONS, d_s)
-    nn.linear_params(params, rng, "act.l2", d_s, d_s)
+    nn.mlp_params(params, rng, "enc", (n_x, d_s, 288, d_s))
+    nn.mlp_params(params, rng, "act", (N_ACTIONS, d_s, d_s))
     nn.linear_params(params, rng, "fuse.l", 2 * d_s, d_s)
     nn.lstm_params(params, rng, "dyn.lstm", d_s, d_s)
-    nn.linear_params(params, rng, "inv.l1", 2 * d_s, d_s)
-    nn.linear_params(params, rng, "inv.l2", d_s, N_ACTIONS)
-    nn.linear_params(params, rng, "dec.l1", d_s, 288)
-    nn.linear_params(params, rng, "dec.l2", 288, d_s)
-    nn.linear_params(params, rng, "dec.l3", d_s, N_OBS)
+    nn.mlp_params(params, rng, "inv", (2 * d_s, d_s, N_ACTIONS))
+    nn.mlp_params(params, rng, "dec", (d_s, 288, d_s, N_OBS))
 
 
 def _build_dst(params, rng, d_s, n_x, meta):
@@ -214,29 +201,23 @@ def _build_dst(params, rng, d_s, n_x, meta):
     dec_sig_dim = sig_length(DST_DEC_WIDTHS[1], 2)
     meta.update({"stream_channels": channels, "sig_dim": sig_dim,
                  "gru_hidden": hidden})
-    nn.linear_params(params, rng, "aug.l1", stream_in, DST_AUG_WIDTH)
-    nn.linear_params(params, rng, "aug.l2", DST_AUG_WIDTH, DST_AUG_CHANNELS)
+    nn.mlp_params(params, rng, "aug", (stream_in, DST_AUG_WIDTH, DST_AUG_CHANNELS))
     nn.gru_params(params, rng, "enc.gru1", sig_dim, hidden)
     nn.gru_params(params, rng, "enc.gru2", hidden, hidden)
     if hidden != d_s:
         nn.linear_params(params, rng, "enc.head", hidden, d_s)
     nn.linear_params(params, rng, "dec.c1", d_s, DST_DEC_WIDTHS[0])
     nn.linear_params(params, rng, "dec.c2", DST_DEC_WIDTHS[0], DST_DEC_WIDTHS[1])
-    nn.linear_params(params, rng, "dec.l1", dec_sig_dim, 64)
-    nn.linear_params(params, rng, "dec.l2", 64, N_OBS)
+    nn.mlp_params(params, rng, "dec", (dec_sig_dim, 64, N_OBS))
 
 
 def _build_ode(params, rng, d_s, n_x, meta):
     meta["substeps"] = 4
-    nn.linear_params(params, rng, "pre.l1", n_x + N_ACTIONS, 64)
-    nn.linear_params(params, rng, "pre.l2", 64, 128)
+    nn.mlp_params(params, rng, "pre", (n_x + N_ACTIONS, 64, 128))
     nn.gru_params(params, rng, "enc.gru", 128, ODE_HIDDEN)
-    nn.linear_params(params, rng, "field.l1", ODE_HIDDEN, ODE_HIDDEN)
-    nn.linear_params(params, rng, "field.l2", ODE_HIDDEN, ODE_HIDDEN)
+    nn.mlp_params(params, rng, "field", (ODE_HIDDEN, ODE_HIDDEN, ODE_HIDDEN))
     nn.linear_params(params, rng, "enc.head", ODE_HIDDEN, d_s)
-    nn.linear_params(params, rng, "dec.l1", d_s, 100)
-    nn.linear_params(params, rng, "dec.l2", 100, 100)
-    nn.linear_params(params, rng, "dec.l3", 100, N_OBS)
+    nn.mlp_params(params, rng, "dec", (d_s, 100, 100, N_OBS))
 
 
 def _build_cde(params, rng, d_s, n_x, meta):
@@ -247,9 +228,7 @@ def _build_cde(params, rng, d_s, n_x, meta):
     for i in range(1, 5):
         nn.linear_params(params, rng, f"field.l{i}", 100, 100)
     nn.linear_params(params, rng, "field.out", 100, d_s * channels)
-    nn.linear_params(params, rng, "dec.l1", d_s, 100)
-    nn.linear_params(params, rng, "dec.l2", 100, 100)
-    nn.linear_params(params, rng, "dec.l3", 100, N_OBS)
+    nn.mlp_params(params, rng, "dec", (d_s, 100, 100, N_OBS))
 
 
 _BUILDERS = {
@@ -266,13 +245,8 @@ _BUILDERS = {
 # -- forward passes ----------------------------------------------------------------
 
 
-def _mlp3(x, params, prefix, activations=("relu", "relu", None)):
-    acts = {"relu": ad.relu, "elu": ad.elu, "tanh": ad.tanh, None: lambda t: t}
-    out = x
-    for i, act in enumerate(activations, start=1):
-        out = nn.dense(out, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
-        out = acts[act](out)
-    return out
+_RELU3 = (ad.relu, ad.relu, None)   # activations of the three-layer stacks
+_ELU3 = (ad.elu, ad.elu, None)      # ddm's three-layer stacks
 
 
 def _stack_time(rows: list[Tensor]) -> Tensor:
@@ -289,8 +263,7 @@ class ForwardOut:
 def _encode_rnn_family(model: EncoderModel, batch: Batch) -> Tensor:
     p = model.params
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    u = ad.relu(nn.dense(ad.relu(nn.dense(inp, p["enc.l1.w"], p["enc.l1.b"])),
-                         p["enc.l2.w"], p["enc.l2.b"]))
+    u = nn.mlp(inp, p, "enc", (ad.relu, ad.relu))
     gp = nn.GRUParams(p["enc.gru.w_ih"], p["enc.gru.w_hh"],
                       p["enc.gru.b_ih"], p["enc.gru.b_hh"])
     bsz, t_max = batch.shape
@@ -305,22 +278,22 @@ def _encode_rnn_family(model: EncoderModel, batch: Batch) -> Tensor:
 def _forward_ae(model: EncoderModel, batch: Batch) -> ForwardOut:
     p = model.params
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    latents = _mlp3(inp, p, "enc")
+    latents = nn.mlp(inp, p, "enc", _RELU3)
     dec_in = ad.concat([latents, Tensor(batch.a_curr)], axis=2)
-    preds = _mlp3(dec_in, p, "dec")
+    preds = nn.mlp(dec_in, p, "dec", _RELU3)
     return ForwardOut(latents, preds)
 
 
 def _forward_rnn(model: EncoderModel, batch: Batch) -> ForwardOut:
     latents = _encode_rnn_family(model, batch)
-    preds = _mlp3(latents, model.params, "dec")
+    preds = nn.mlp(latents, model.params, "dec", _RELU3)
     return ForwardOut(latents, preds)
 
 
 def _forward_ais(model: EncoderModel, batch: Batch) -> ForwardOut:
     latents = _encode_rnn_family(model, batch)
     dec_in = ad.concat([latents, Tensor(batch.a_curr)], axis=2)
-    preds = _mlp3(dec_in, model.params, "dec")
+    preds = nn.mlp(dec_in, model.params, "dec", _RELU3)
     return ForwardOut(latents, preds)
 
 
@@ -328,9 +301,8 @@ def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
     p = model.params
     d_s = model.d_s
     bsz, t_max = batch.shape
-    z = ad.tanh(_mlp3(Tensor(batch.x), p, "enc", ("elu", "elu", None)))
-    a_emb = nn.dense(ad.elu(nn.dense(Tensor(batch.a_curr), p["act.l1.w"], p["act.l1.b"])),
-                     p["act.l2.w"], p["act.l2.b"])
+    z = nn.mlp(Tensor(batch.x), p, "enc", (ad.elu, ad.elu, ad.tanh))
+    a_emb = nn.mlp(Tensor(batch.a_curr), p, "act", (ad.elu, None))
     u = nn.dense(ad.concat([z, a_emb], axis=2), p["fuse.l.w"], p["fuse.l.b"])
     lp = nn.LSTMParams(p["dyn.lstm.w_ih"], p["dyn.lstm.w_hh"],
                        p["dyn.lstm.b_ih"], p["dyn.lstm.b_hh"])
@@ -341,7 +313,7 @@ def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
         h, c = nn.lstm_cell(ad.time_slice(u, t), h, c, lp)
         rows.append(ad.tanh(h))  # mean head; the cell state carries the spread
     latents = _stack_time(rows)
-    preds = _mlp3(latents, p, "dec", ("elu", "elu", None))
+    preds = nn.mlp(latents, p, "dec", _ELU3)
 
     # inverse model: recover A_t from consecutive observation embeddings
     pair_idx = np.flatnonzero(batch.pair_mask.reshape(-1))
@@ -350,10 +322,7 @@ def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
     z_flat = ad.reshape(z, (bsz * t_max, d_s))
     z_t = ad.gather_rows(z_flat, pair_idx)
     z_t1 = ad.gather_rows(z_flat, pair_idx + 1)
-    logits = nn.dense(
-        ad.elu(nn.dense(ad.concat([z_t, z_t1], axis=1), p["inv.l1.w"], p["inv.l1.b"])),
-        p["inv.l2.w"], p["inv.l2.b"],
-    )
+    logits = nn.mlp(ad.concat([z_t, z_t1], axis=1), p, "inv", (ad.elu, None))
     labels = batch.a_ids.reshape(-1)[pair_idx]
     aux = nn.softmax_cross_entropy(logits, labels)
     return ForwardOut(latents, preds, aux_ce=aux)
@@ -364,8 +333,7 @@ def _forward_dst(model: EncoderModel, batch: Batch) -> ForwardOut:
     bsz, t_max = batch.shape
     hidden = model.meta["gru_hidden"]
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    aug = nn.dense(ad.relu(nn.dense(inp, p["aug.l1.w"], p["aug.l1.b"])),
-                   p["aug.l2.w"], p["aug.l2.b"])
+    aug = nn.mlp(inp, p, "aug", (ad.relu, None))
     stream = ad.concat([inp, aug], axis=2)
     g1 = nn.GRUParams(p["enc.gru1.w_ih"], p["enc.gru1.w_hh"],
                       p["enc.gru1.b_ih"], p["enc.gru1.b_hh"])
@@ -398,14 +366,12 @@ def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
     bsz, t_max = batch.shape
     substeps = model.meta.get("substeps", 4)
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    u = ad.relu(nn.dense(ad.relu(nn.dense(inp, p["pre.l1.w"], p["pre.l1.b"])),
-                         p["pre.l2.w"], p["pre.l2.b"]))
+    u = nn.mlp(inp, p, "pre", (ad.relu, ad.relu))
     gp = nn.GRUParams(p["enc.gru.w_ih"], p["enc.gru.w_hh"],
                       p["enc.gru.b_ih"], p["enc.gru.b_hh"])
 
     def vector_field(_t, state):
-        act = ad.tanh(nn.dense(state, p["field.l1.w"], p["field.l1.b"]))
-        return nn.dense(act, p["field.l2.w"], p["field.l2.b"])
+        return nn.mlp(state, p, "field", (ad.tanh, None))
 
     h = Tensor(np.zeros((bsz, ODE_HIDDEN)))
     rows = []
@@ -415,7 +381,7 @@ def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
         h = nn.gru_cell(ad.time_slice(u, t), h, gp)
         rows.append(nn.dense(h, p["enc.head.w"], p["enc.head.b"]))
     latents = _stack_time(rows)
-    preds = _mlp3(latents, p, "dec")
+    preds = nn.mlp(latents, p, "dec", _RELU3)
     return ForwardOut(latents, preds)
 
 
@@ -486,7 +452,7 @@ def _forward_cde(model: EncoderModel, batch: Batch) -> ForwardOut:
         z = rk4_solve(cde_field, z, float(t - 1), float(t), substeps)
         rows.append(z)
     latents = _stack_time(rows)
-    preds = _mlp3(latents, p, "dec")
+    preds = nn.mlp(latents, p, "dec", _RELU3)
     return ForwardOut(latents, preds)
 
 
@@ -558,17 +524,15 @@ def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) ->
     if latent.shape[-1] != model.d_s:
         raise ValueError(f"latent width {latent.shape[-1]} != d_s {model.d_s}")
     p = model.params
-    onehot = np.zeros(N_ACTIONS)
-    onehot[action_id] = 1.0
+    row = latent[-1:]
+    if model.kind in ("ae", "ais"):
+        onehot = np.zeros((1, N_ACTIONS))
+        onehot[0, action_id] = 1.0
+        row = np.concatenate([row, onehot], axis=1)
     with ad.no_grad():
-        if model.kind in ("ae", "ais"):
-            row = Tensor(np.concatenate([latent[-1], onehot])[None, :])
-            pred = _mlp3(row, p, "dec")
-        elif model.kind in ("rnn", "ode", "cde"):
-            pred = _mlp3(Tensor(latent[-1:]), p, "dec")
-        elif model.kind == "ddm":
-            pred = _mlp3(Tensor(latent[-1:]), p, "dec", ("elu", "elu", None))
-        else:  # dst decodes the latent stream
+        if model.kind == "dst":  # dst decodes the latent stream
             pred = _dst_decode(p, Tensor(latent[None, :, :]))[:, -1, :]
+        else:
+            pred = nn.mlp(Tensor(row), p, "dec", _ELU3 if model.kind == "ddm" else _RELU3)
     out = pred.data.reshape(-1)[:N_OBS]
     return out.copy()

@@ -8,7 +8,7 @@ makes retraining with a fixed seed bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +77,25 @@ def linear_params(params: Params, rng: np.random.Generator, name: str,
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
+
+
+def mlp_params(params: Params, rng: np.random.Generator, prefix: str,
+               sizes: Sequence[int]) -> None:
+    """Register dense layers ``{prefix}.l1`` ... for consecutive ``sizes``."""
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
+        linear_params(params, rng, f"{prefix}.l{i}", n_in, n_out)
+
+
+def mlp(x: Tensor, params, prefix: str, acts: Sequence) -> Tensor:
+    """Dense layers ``{prefix}.l1`` ... each followed by its entry of
+    ``acts``, an autodiff function or None. ``params`` maps names to
+    tensors or arrays (a :class:`Params` or a frozen snapshot)."""
+    out = x
+    for i, act in enumerate(acts, start=1):
+        out = dense(out, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
+        if act is not None:
+            out = act(out)
+    return out
 
 
 # -- recurrent cells ------------------------------------------------------------

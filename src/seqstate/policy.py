@@ -83,20 +83,13 @@ def build_buffer(model: EncoderModel, trajs: list[Trajectory], seed: int = 0,
 
 # -- network helpers -------------------------------------------------------------
 
-
-def _mlp_params(rng: np.random.Generator, sizes: list[int], prefix: str,
-                params: nn.Params) -> None:
-    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-        nn.linear_params(params, rng, f"{prefix}.l{i}", n_in, n_out)
+_BC_ACTS = (ad.relu, None)
+_Q_ACTS = (ad.relu, ad.relu, None)  # both the Q-network and the action filter
 
 
-def _mlp_forward(x: Tensor, params: nn.Params, prefix: str, n_layers: int) -> Tensor:
-    out = x
-    for i in range(1, n_layers + 1):
-        out = nn.dense(out, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
-        if i < n_layers:
-            out = ad.relu(out)
-    return out
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # -- behavior cloning -------------------------------------------------------------
@@ -114,14 +107,11 @@ class BCPolicy:
 
     def logits(self, states: np.ndarray) -> np.ndarray:
         with ad.no_grad():
-            return _mlp_forward(Tensor(np.atleast_2d(states)), self.params,
-                                "bc", 2).data
+            return nn.mlp(Tensor(np.atleast_2d(states)), self.params, "bc",
+                          _BC_ACTS).data
 
     def probs(self, states: np.ndarray) -> np.ndarray:
-        logits = self.logits(states)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(self.logits(states))
 
 
 @dataclass
@@ -138,7 +128,7 @@ def behavior_clone(buffer: TransitionBuffer, config: BCConfig | None = None) -> 
     config = config or BCConfig()
     rng = np.random.default_rng(config.seed)
     params = nn.Params()
-    _mlp_params(rng, [buffer.d_s, config.hidden, N_ACTIONS], "bc", params)
+    nn.mlp_params(params, rng, "bc", (buffer.d_s, config.hidden, N_ACTIONS))
     present = np.unique(buffer.actions)
     missing = tuple(sorted(set(range(N_ACTIONS)) - set(present.tolist())))
     policy = BCPolicy(params=params, d_s=buffer.d_s, hidden=config.hidden,
@@ -148,7 +138,7 @@ def behavior_clone(buffer: TransitionBuffer, config: BCConfig | None = None) -> 
     for _ in range(config.iterations):
         s, a, _, _, _ = buffer.sample(config.batch_size)
         params.zero_grad()
-        logits = _mlp_forward(Tensor(s), params, "bc", 2)
+        logits = nn.mlp(Tensor(s), params, "bc", _BC_ACTS)
         loss = nn.softmax_cross_entropy(logits, a)
         if not np.isfinite(float(loss.data)):
             raise RuntimeError("behavior cloning diverged")
@@ -196,16 +186,14 @@ class QPolicy:
 
     def q_values(self, states: np.ndarray) -> np.ndarray:
         with ad.no_grad():
-            return _mlp_forward(Tensor(np.atleast_2d(states)), self.params,
-                                "q", 3).data
+            return nn.mlp(Tensor(np.atleast_2d(states)), self.params, "q",
+                          _Q_ACTS).data
 
     def filter_probs(self, states: np.ndarray) -> np.ndarray:
         with ad.no_grad():
-            logits = _mlp_forward(Tensor(np.atleast_2d(states)), self.params,
-                                  "f", 3).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+            logits = nn.mlp(Tensor(np.atleast_2d(states)), self.params, "f",
+                            _Q_ACTS).data
+        return _softmax(logits)
 
     def select_actions(self, states: np.ndarray) -> np.ndarray:
         """Greedy actions over the filtered candidate sets."""
@@ -233,25 +221,13 @@ class CurvePoint:
     filter_loss: float
 
 
-def _q_target_values(policy_params: nn.Params, target: dict[str, np.ndarray],
-                     s2: np.ndarray, tau: float) -> np.ndarray:
-    """Double-estimator target: candidate argmax by the online network,
+def _q_target_values(policy: QPolicy, s2: np.ndarray) -> np.ndarray:
+    """Double-estimator target: candidate argmax by the online networks,
     value by the frozen copy."""
+    a_star = policy.select_actions(s2)
     with ad.no_grad():
-        q_online = _mlp_forward(Tensor(s2), policy_params, "q", 3).data
-        f_logits = _mlp_forward(Tensor(s2), policy_params, "f", 3).data
-        shifted = f_logits - f_logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        mask = bcq_filter(probs, tau)
-        a_star = np.where(mask, q_online, -np.inf).argmax(axis=1)
-
-        q_frozen = s2
-        for i in (1, 2, 3):
-            q_frozen = q_frozen @ target[f"q.l{i}.w"] + target[f"q.l{i}.b"]
-            if i < 3:
-                q_frozen = np.maximum(q_frozen, 0.0)
-        return q_frozen[np.arange(s2.shape[0]), a_star]
+        q_frozen = nn.mlp(Tensor(s2), policy.target, "q", _Q_ACTS).data
+    return q_frozen[np.arange(s2.shape[0]), a_star]
 
 
 def train_bcq(buffer: TransitionBuffer, config: BCQConfig | None = None,
@@ -267,8 +243,9 @@ def train_bcq(buffer: TransitionBuffer, config: BCQConfig | None = None,
         raise ValueError("empty transition buffer")
     rng = np.random.default_rng(config.seed)
     params = nn.Params()
-    _mlp_params(rng, [buffer.d_s, config.hidden, config.hidden, N_ACTIONS], "q", params)
-    _mlp_params(rng, [buffer.d_s, config.hidden, config.hidden, N_ACTIONS], "f", params)
+    sizes = (buffer.d_s, config.hidden, config.hidden, N_ACTIONS)
+    nn.mlp_params(params, rng, "q", sizes)
+    nn.mlp_params(params, rng, "f", sizes)
     target = {k: t.data.copy() for k, t in params.items() if k.startswith("q.")}
     policy = QPolicy(params=params, target=target, d_s=buffer.d_s, config=config)
 
@@ -276,14 +253,12 @@ def train_bcq(buffer: TransitionBuffer, config: BCQConfig | None = None,
     curve: list[CurvePoint] = []
     for it in range(1, config.iterations + 1):
         s, a, r, s2, done = buffer.sample(config.batch_size)
-        y = r + config.gamma * (1.0 - done.astype(float)) * _q_target_values(
-            params, target, s2, config.tau
-        )
+        y = r + config.gamma * (1.0 - done.astype(float)) * _q_target_values(policy, s2)
         params.zero_grad()
-        q_all = _mlp_forward(Tensor(s), params, "q", 3)
+        q_all = nn.mlp(Tensor(s), params, "q", _Q_ACTS)
         q_sa = ad.take_columns(q_all, a)
         q_loss = nn.mse(q_sa, Tensor(y))
-        f_logits = _mlp_forward(Tensor(s), params, "f", 3)
+        f_logits = nn.mlp(Tensor(s), params, "f", _Q_ACTS)
         f_loss = nn.softmax_cross_entropy(f_logits, a)
         loss = ad.add(q_loss, f_loss)
         if not np.isfinite(float(loss.data)):

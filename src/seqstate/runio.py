@@ -19,15 +19,15 @@ import json
 import os
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
 from .bundle import load_bundle, save_bundle
 from .cohort import NormStats
 from .encoders import EncoderModel, build_encoder
-from .policy import BCPolicy, BCQConfig, CurvePoint, QPolicy
+from .policy import BCPolicy, CurvePoint, QPolicy
 from .training import SCORE_NAMES, EpochRecord, TrainResult
 
 
@@ -35,6 +35,13 @@ class DataError(Exception):
     """A missing, corrupt or mismatched input file or run artifact (CLI exit
     code 3)."""
 
+
+# the encoder-manifest entries that loaders and the CLI index directly
+_ENCODER_MANIFEST_KEYS = (
+    "kind", "d_s", "input_mode", "lambdas", "cohort_provenance", "split.seed",
+    "metrics.best_val_mse",
+    *(f"normalization.{f.name}" for f in fields(NormStats)),
+)
 
 HISTORY_HEADER = "epoch,train_mse,val_mse,rho_sofa,rho_saps2,rho_oasis"
 CURVE_HEADER = "iteration,wis_return,ess,q_loss,filter_loss"
@@ -138,6 +145,12 @@ def load_encoder_run(run_dir: str | Path) -> tuple[EncoderModel, NormStats, dict
     if not manifest_path.exists():
         raise FileNotFoundError(f"{run_dir}: missing manifest.json")
     manifest = read_json(manifest_path)
+    for key in _ENCODER_MANIFEST_KEYS:
+        node = manifest
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise DataError(f"{manifest_path}: missing key {key!r}")
+            node = node[part]
     tag, arrays = load_bundle(run_dir / "model.bin")
     if tag != manifest["kind"]:
         raise DataError(f"{run_dir}: bundle tag {tag!r} != manifest kind")
@@ -180,33 +193,3 @@ def save_policy_run(run_dir: str | Path, policy: QPolicy, behavior: BCPolicy,
     rows = [[p.iteration, p.wis_return, p.ess, p.q_loss, p.filter_loss]
             for p in curve]
     write_csv(run_dir / "curve.csv", CURVE_HEADER, rows)
-
-
-def load_policy_run(run_dir: str | Path) -> tuple[QPolicy, BCPolicy, dict]:
-    run_dir = Path(run_dir)
-    manifest = read_json(run_dir / "manifest.json")
-    _, arrays = load_bundle(run_dir / "qfilter.bin")
-    d_s = arrays["q.l1.w"].shape[0]
-    hidden = arrays["q.l1.w"].shape[1]
-    config = BCQConfig(hidden=hidden, gamma=manifest["gamma"],
-                       tau=manifest["tau"], seed=manifest["seed"])
-    params = nn.Params()
-    target = {}
-    for name, arr in arrays.items():
-        if name.startswith("target."):
-            target[name[len("target."):]] = arr.copy()
-        else:
-            params.register(name, arr)
-    policy = QPolicy(params=params, target=target, d_s=d_s, config=config)
-
-    _, bc_arrays = load_bundle(run_dir / "behavior.bin")
-    bc_params = nn.Params()
-    for name, arr in bc_arrays.items():
-        bc_params.register(name, arr)
-    behavior = BCPolicy(
-        params=bc_params, d_s=bc_arrays["bc.l1.w"].shape[0],
-        hidden=bc_arrays["bc.l1.w"].shape[1],
-        train_accuracy=manifest.get("bc_train_accuracy", float("nan")),
-        missing_actions=tuple(manifest.get("bc_missing_actions", [])),
-    )
-    return policy, behavior, manifest

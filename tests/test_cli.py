@@ -285,3 +285,34 @@ def test_corrupt_manifest_is_data_error(tmp_path, cohort_csv, encoder_run, capsy
     code = main(["analyze", "--runs", str(run), "--cohort", str(cohort_csv),
                  "--out", str(tmp_path / "a")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("train-encoder", {"epochz": 3}, "epochz"),    # not an option name
+    ("train-encoder", {"mode": "bogus"}, "mode"),  # not one of its choices
+    ("sweep", {"reg": "maybe"}, "reg"),
+])
+def test_bad_config_is_usage_error(tmp_path, cohort_csv, capsys, command,
+                                   config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--cohort", str(cohort_csv), "--config", str(cfg),
+            "--out", str(tmp_path / "out")]
+    if command == "train-encoder":
+        argv += ["--kind", "ae"]
+    assert main(argv) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_missing_key_is_data_error(tmp_path, cohort_csv, encoder_run,
+                                            capsys):
+    run = _copy_run(encoder_run, tmp_path / "run")
+    (run / "manifest.json").write_text(json.dumps({"artifact": "encoder_run"}))
+    code = main(["analyze", "--runs", str(run), "--cohort", str(cohort_csv),
+                 "--out", str(tmp_path / "a")])
+    assert code == 3
+    assert "missing key 'kind'" in capsys.readouterr().err
+    code = main(["train-policy", "--encoder-run", str(run),
+                 "--cohort", str(cohort_csv), "--out", str(tmp_path / "p")])
+    assert code == 3

@@ -240,8 +240,8 @@ def test_target_network_frozen_between_refreshes():
                for k in policy.target)
     # the regression target for a fixed transition only uses the frozen copy
     s2 = rng.normal(size=(5, 2))
-    y1 = _q_target_values(policy.params, policy.target, s2, tau=0.3)
-    y2 = _q_target_values(policy.params, policy.target, s2, tau=0.3)
+    y1 = _q_target_values(policy, s2)
+    y2 = _q_target_values(policy, s2)
     np.testing.assert_allclose(y1, y2, atol=0)
 
 
