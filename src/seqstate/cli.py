@@ -12,11 +12,10 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (REFERENCE_BEST, SweepRow, aggregate_sweep,
                        correlation_table, endpoint_projection, pca_fit,
@@ -24,7 +23,7 @@ from .analysis import (REFERENCE_BEST, SweepRow, aggregate_sweep,
 from .bundle import BundleFormatError
 from .cohort import (Cohort, CohortError, SplitSpec, compute_norm_stats,
                      load_cohort, save_cohort, stratified_split, znormalize)
-from .encoders import D_S_GRID, KINDS, build_encoder
+from .encoders import D_S_GRID, INPUT_MODES, KINDS, build_encoder
 from .odesolve import OdeError
 from .policy import (BCConfig, BCQConfig, behavior_clone, build_buffer,
                      make_eval_set, train_bcq, wis_evaluate)
@@ -43,51 +42,81 @@ class UsageError(Exception):
     """A flag value the command cannot run with (exit code 2)."""
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+# the exit code of each failure a command can end in; anything else is a bug
+# and keeps its traceback
+EXIT_CODES = {
+    UsageError: 2,
+    DataError: 3, CohortError: 3, BundleFormatError: 3, FileNotFoundError: 3,
+    TrainingDiverged: 4, OdeError: 4, FloatingPointError: 4,
+}
+_EXIT_LABELS = {2: "usage error", 3: "data error", 4: "numerical failure"}
+
+
+def exit_code(exc: BaseException) -> int | None:
+    """The exit code of ``exc``, or None if it is not a known failure."""
+    return next((code for cls, code in EXIT_CODES.items()
+                 if isinstance(exc, cls)), None)
+
+
+def positive_int(text: str) -> int:
+    """The parser of every count flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def comma_list(item=str, choices=None):
+    """The parser of a comma-separated flag whose items ``item`` parses and,
+    when given, ``choices`` holds."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a comma list of {item.__name__}") from None
+        for v in values:
+            if choices is not None and v not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"{v!r} is not one of {', '.join(choices)}")
+        return values
+    return parse
+
+
+def _load_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataError(f"config file not found: {path}")
     return read_json(p)
 
 
-def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """The options a --config file may set: every optional flag of the
-    subcommand except --help and --config."""
-    return {a.dest: a for a in parser._actions
-            if a.option_strings and not a.required
-            and a.dest not in ("help", "config")}
-
-
-def _check_config(command: str, options: dict[str, argparse.Action],
-                  config: dict) -> None:
-    """Reject config keys that are not option names, and values that the
-    option's flag would not accept."""
+def _check_config(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """Config values as their flags parse them. A config file may set every
+    optional flag of the subcommand except --help and --config; a key that
+    is not one, or a value whose text its flag would not accept, is a usage
+    error naming the key."""
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and not a.required
+               and a.dest not in ("help", "config")}
+    values = {}
     for key, value in config.items():
         action = options.get(key)
         if action is None:
-            raise UsageError(f"{command}: unknown config key {key!r} "
+            raise UsageError(f"{parser.prog}: unknown config key {key!r} "
                              f"(options: {', '.join(sorted(options))})")
-        if action.nargs == 0:  # an on/off flag
-            ok = isinstance(value, bool)
-        else:
-            kind = action.type or str
-            accepted = (int, float) if kind is float else kind
-            ok = (isinstance(value, accepted) and not isinstance(value, bool)
-                  and (action.choices is None or value in action.choices))
+        try:
+            if action.nargs == 0:  # an on/off flag
+                ok = isinstance(value, bool)
+            else:
+                value = (action.type or str)(str(value))
+                ok = action.choices is None or value in action.choices
+        except (ValueError, argparse.ArgumentTypeError):
+            ok = False
         if not ok:
-            raise UsageError(f"{command}: config key {key!r} cannot take "
-                             f"{value!r}")
-
-
-def _resolve(flag_value, config: dict, key: str, default):
-    """Flag beats config file beats built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+            raise UsageError(f"{parser.prog}: config key {key!r} cannot take "
+                             f"{config[key]!r}")
+        values[key] = value
+    return values
 
 
 def _load_cohort_checked(path: str) -> Cohort:
@@ -97,51 +126,44 @@ def _load_cohort_checked(path: str) -> Cohort:
     return load_cohort(p)
 
 
-def _split_cohort(cohort: Cohort, split_seed: int):
-    spec = SplitSpec(seed=split_seed)
-    train, val, test = stratified_split(cohort, spec)
-    stats = compute_norm_stats(train)
-    return (znormalize(train, stats), znormalize(val, stats),
-            znormalize(test, stats), stats, spec)
-
-
 # -- gen-data ---------------------------------------------------------------------
 
 
-def cmd_gen_data(args, config: dict) -> int:
-    n = _resolve(args.n, config, "n", 2000)
-    seed = _resolve(args.seed, config, "seed", 0)
-    mortality = _resolve(args.mortality, config, "mortality", 0.09)
+def cmd_gen_data(args) -> int:
     try:
-        cohort = generate_synthetic(n, seed, SyntheticConfig(mortality_target=mortality))
+        cohort = generate_synthetic(args.n, args.seed,
+                                    SyntheticConfig(mortality_target=args.mortality))
     except ValueError as exc:  # the generator validates its arguments
         raise UsageError(f"gen-data: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_cohort(cohort, out)
     print(f"wrote {len(cohort)} patients to {out}")
-    print(f"realized mortality: {cohort.mortality():.4f} (target {mortality})")
+    print(f"realized mortality: {cohort.mortality():.4f} (target {args.mortality})")
     return 0
 
 
 # -- train-encoder -----------------------------------------------------------------
 
 
-def run_encoder_training(cohort_path: str, out_dir: str, kind: str, d_s: int,
-                         mode: str, reg: bool, epochs: int, lr: float | None,
-                         batch_size: int, seed: int, split_seed: int,
-                         lambda_scale: float | None, substeps: int) -> dict:
+def run_encoder_training(*, cohort_path: str, out_dir: str, kind: str, d_s: int,
+                         mode: str, reg: bool, epochs: int, batch_size: int,
+                         seed: int, split_seed: int, substeps: int,
+                         lr: float | None = None,
+                         lambda_scale: float | None = None) -> dict:
     """Shared single-run pipeline used by train-encoder and sweep."""
     cohort = _load_cohort_checked(cohort_path)
-    train, val, _test, stats, spec = _split_cohort(cohort, split_seed)
-    model = build_encoder(kind, d_s, mode, seed=seed)
-    cfg = default_train_config(kind, d_s)
-    cfg.epochs = epochs
-    cfg.seed = seed
-    cfg.batch_size = batch_size
-    cfg.regularize = reg
-    cfg.lambda_scale = lambda_scale
-    cfg.solver_substeps = substeps
+    spec = SplitSpec(seed=split_seed)
+    train, val, _test = stratified_split(cohort, spec)
+    stats = compute_norm_stats(train)
+    train, val = znormalize(train, stats), znormalize(val, stats)
+    try:
+        model = build_encoder(kind, d_s, mode, seed=seed)
+    except ValueError as exc:  # the builder validates its arguments
+        raise UsageError(str(exc)) from exc
+    cfg = default_train_config(
+        kind, d_s, epochs=epochs, seed=seed, batch_size=batch_size,
+        regularize=reg, lambda_scale=lambda_scale, solver_substeps=substeps)
     if lr is not None:
         cfg.lr = lr
     result = train_encoder(model, train.trajectories, val.trajectories, cfg)
@@ -161,25 +183,15 @@ def run_encoder_training(cohort_path: str, out_dir: str, kind: str, d_s: int,
     }
 
 
-def cmd_train_encoder(args, config: dict) -> int:
-    epochs = _resolve(args.epochs, config, "epochs", None)
+def cmd_train_encoder(args) -> int:
+    epochs = args.epochs
     if epochs is None:
-        reference = args.reference_scale or config.get("reference_scale", False)
-        epochs = REFERENCE_EPOCHS[args.kind] if reference else DESK_EPOCHS
+        epochs = REFERENCE_EPOCHS[args.kind] if args.reference_scale else DESK_EPOCHS
     row = run_encoder_training(
-        cohort_path=args.cohort,
-        out_dir=args.out,
-        kind=args.kind,
-        d_s=_resolve(args.d_s, config, "d_s", 16),
-        mode=_resolve(args.mode, config, "mode", "obs"),
-        reg=bool(args.reg or config.get("reg", False)),
-        epochs=epochs,
-        lr=_resolve(args.lr, config, "lr", None),
-        batch_size=_resolve(args.batch_size, config, "batch_size", 128),
-        seed=_resolve(args.seed, config, "seed", 0),
-        split_seed=_resolve(args.split_seed, config, "split_seed", 0),
-        lambda_scale=_resolve(args.lambda_scale, config, "lambda_scale", None),
-        substeps=_resolve(args.substeps, config, "substeps", DESK_SUBSTEPS),
+        cohort_path=args.cohort, out_dir=args.out, kind=args.kind, d_s=args.d_s,
+        mode=args.mode, reg=args.reg, epochs=epochs, lr=args.lr,
+        batch_size=args.batch_size, seed=args.seed, split_seed=args.split_seed,
+        lambda_scale=args.lambda_scale, substeps=args.substeps,
     )
     print(f"run dir: {row['run_dir']}")
     print(f"best val mse: {row['val_mse']:.6f}")
@@ -189,51 +201,33 @@ def cmd_train_encoder(args, config: dict) -> int:
 # -- sweep -------------------------------------------------------------------------
 
 
-def _sweep_task(task: tuple) -> dict:
-    (cohort_path, run_dir, kind, d_s, mode, reg, epochs, batch_size, seed,
-     split_seed, substeps) = task
+def _sweep_task(task: dict) -> dict:
     try:
-        return run_encoder_training(
-            cohort_path, run_dir, kind, d_s, mode, reg, epochs, None,
-            batch_size, seed, split_seed, None, substeps,
-        )
+        return run_encoder_training(**task)
     except Exception as exc:  # recorded, aggregation proceeds over completions
-        return {"kind": kind, "d_s": d_s, "mode": mode, "reg": reg,
-                "seed": seed, "error": f"{type(exc).__name__}: {exc}",
-                "run_dir": str(run_dir)}
+        return {**{k: task[k] for k in ("kind", "d_s", "mode", "reg", "seed")},
+                "error": f"{type(exc).__name__}: {exc}",
+                "code": exit_code(exc) or 1, "run_dir": task["out_dir"]}
 
 
-def cmd_sweep(args, config: dict) -> int:
-    kinds = _resolve(args.kinds, config, "kinds", ",".join(KINDS)).split(",")
-    d_s_list = [int(v) for v in
-                _resolve(args.d_s_list, config, "d_s_list",
-                         ",".join(str(d) for d in D_S_GRID)).split(",")]
-    modes = _resolve(args.modes, config, "modes", "obs").split(",")
-    seeds = [int(v) for v in _resolve(args.seeds, config, "seeds", "0").split(",")]
-    reg_mode = _resolve(args.reg, config, "reg", "off")
-    regs = {"off": [False], "on": [True], "both": [False, True]}[reg_mode]
-    epochs = _resolve(args.epochs, config, "epochs", DESK_EPOCHS)
-    batch_size = _resolve(args.batch_size, config, "batch_size", 128)
-    split_seed = _resolve(args.split_seed, config, "split_seed", 0)
-    substeps = _resolve(args.substeps, config, "substeps", DESK_SUBSTEPS)
-    workers = _resolve(args.workers, config, "workers", 1)
+def cmd_sweep(args) -> int:
+    regs = {"off": [False], "on": [True], "both": [False, True]}[args.reg]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     tasks = []
-    for kind in kinds:
-        for d_s in d_s_list:
-            for mode in modes:
-                for reg in regs:
-                    for seed in seeds:
-                        name = f"{kind}_d{d_s}_{mode.replace('+', '-')}" \
-                               f"{'_reg' if reg else ''}_s{seed}"
-                        tasks.append((args.cohort, str(out / name), kind, d_s,
-                                      mode, reg, epochs, batch_size, seed,
-                                      split_seed, substeps))
+    for kind, d_s, mode, reg, seed in itertools.product(
+            args.kinds, args.d_s_list, args.modes, regs, args.seeds):
+        name = (f"{kind}_d{d_s}_{mode.replace('+', '-')}"
+                f"{'_reg' if reg else ''}_s{seed}")
+        tasks.append(dict(
+            cohort_path=args.cohort, out_dir=str(out / name), kind=kind,
+            d_s=d_s, mode=mode, reg=reg, epochs=args.epochs,
+            batch_size=args.batch_size, seed=seed, split_seed=args.split_seed,
+            substeps=args.substeps))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]
@@ -243,7 +237,7 @@ def cmd_sweep(args, config: dict) -> int:
     if not completed:
         for f in failures:
             print(f"FAILED {f['run_dir']}: {f['error']}", file=sys.stderr)
-        raise TrainingDiverged(-1, float("nan"))
+        return failures[0]["code"]
 
     rows = sorted(
         [[r["kind"], r["d_s"], r["mode"], int(r["reg"]), r["seed"], r["val_mse"]]
@@ -268,26 +262,22 @@ def cmd_sweep(args, config: dict) -> int:
 # -- train-policy ------------------------------------------------------------------
 
 
-def cmd_train_policy(args, config: dict) -> int:
+def cmd_train_policy(args) -> int:
     run_dir = Path(args.encoder_run)
-    if not (run_dir / "manifest.json").exists():
-        raise DataError(f"encoder run not found: {run_dir}")
     model, stats, manifest = load_encoder_run(run_dir)
     cohort = _load_cohort_checked(args.cohort)
-    split_seed = manifest["split"]["seed"]
-    spec = SplitSpec(seed=split_seed)
+    spec = SplitSpec(seed=manifest["split"]["seed"])
     train, _val, test = stratified_split(cohort, spec)
     train_n = znormalize(train, stats)
     test_n = znormalize(test, stats)
 
-    seed = _resolve(args.seed, config, "seed", 0)
+    seed = args.seed
     default_lr = 1e-5 if model.kind == "cde" else 1e-3
     bcq_cfg = BCQConfig(
-        iterations=_resolve(args.iterations, config, "iterations",
-                            DESK_POLICY_ITERATIONS),
-        lr=_resolve(args.lr, config, "lr", default_lr),
+        iterations=args.iterations,
+        lr=default_lr if args.lr is None else args.lr,
         hidden=128 if model.kind == "ddm" else 64,
-        eval_period=_resolve(args.eval_every, config, "eval_every", 500),
+        eval_period=args.eval_every,
         seed=seed,
     )
     buffer = build_buffer(model, train_n.trajectories, seed=seed)
@@ -320,7 +310,7 @@ def cmd_train_policy(args, config: dict) -> int:
 # -- analyze -----------------------------------------------------------------------
 
 
-def cmd_analyze(args, config: dict) -> int:
+def cmd_analyze(args) -> int:
     cohort = _load_cohort_checked(args.cohort)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -328,11 +318,6 @@ def cmd_analyze(args, config: dict) -> int:
     models, manifests = {}, {}
     for run in args.runs:
         run_path = Path(run)
-        if not (run_path / "manifest.json").exists():
-            raise DataError(f"run directory not found or incomplete: {run}")
-        manifest = read_json(run_path / "manifest.json")
-        if manifest.get("artifact") != "encoder_run":
-            raise DataError(f"{run}: not an encoder run directory")
         model, stats, manifest = load_encoder_run(run_path)
         if manifest["cohort_provenance"] != cohort.provenance:
             raise DataError(
@@ -393,94 +378,93 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags train-encoder and sweep share
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--cohort", required=True)
+    training.add_argument("--batch-size", type=positive_int, default=128)
+    training.add_argument("--split-seed", type=int, default=0)
+    training.add_argument("--substeps", type=positive_int, default=DESK_SUBSTEPS,
+                          help="solver substeps per time bin (desk default 1; "
+                               "reference accuracy 4)")
+
     p = sub.add_parser("gen-data", help="generate a synthetic cohort CSV")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mortality", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mortality", type=float, default=0.09)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train-encoder", help="train one encoder")
-    p.add_argument("--cohort", required=True)
+    p = sub.add_parser("train-encoder", help="train one encoder",
+                       parents=[training])
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--d-s", dest="d_s", type=int, default=None)
-    p.add_argument("--mode", choices=("obs", "obs+demog"), default=None)
+    p.add_argument("--d-s", dest="d_s", type=positive_int, default=16)
+    p.add_argument("--mode", choices=INPUT_MODES, default="obs")
     p.add_argument("--reg", action="store_true",
                    help="regularize latents toward acuity-score correlation")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=positive_int, default=None,
+                   help=f"default {DESK_EPOCHS}, or the kind's reference "
+                        "schedule with --reference-scale")
     p.add_argument("--reference-scale", action="store_true",
                    help="use the reference epoch schedule instead of desk scale")
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-scale", type=float, default=None)
-    p.add_argument("--substeps", type=int, default=None,
-                   help="solver substeps per time bin (desk default 1; "
-                        "reference accuracy 4)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_encoder)
 
     # the full reference request is 7 kinds x 7 dims x 4 settings x 5 seeds
     # = 980 runs; defaults stay desk-sized
-    p = sub.add_parser("sweep", help="train a grid of encoders")
-    p.add_argument("--cohort", required=True)
-    p.add_argument("--kinds", default=None, help="comma list (default: all 7)")
-    p.add_argument("--d-s-list", dest="d_s_list", default=None,
+    p = sub.add_parser("sweep", help="train a grid of encoders",
+                       parents=[training])
+    p.add_argument("--kinds", type=comma_list(str, KINDS), default=list(KINDS),
+                   help="comma list (default: all 7)")
+    p.add_argument("--d-s-list", dest="d_s_list", type=comma_list(int),
+                   default=list(D_S_GRID),
                    help="comma list (default: 4,8,16,32,64,128,256)")
-    p.add_argument("--modes", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--reg", choices=("off", "on", "both"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--substeps", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--modes", type=comma_list(str, INPUT_MODES), default=["obs"])
+    p.add_argument("--seeds", type=comma_list(int), default=[0])
+    p.add_argument("--reg", choices=("off", "on", "both"), default="off")
+    p.add_argument("--epochs", type=positive_int, default=DESK_EPOCHS)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train-policy", help="train a batch-constrained policy")
     p.add_argument("--encoder-run", required=True)
     p.add_argument("--cohort", required=True)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--iterations", type=positive_int,
+                   default=DESK_POLICY_ITERATIONS)
+    p.add_argument("--eval-every", type=positive_int, default=500)
+    p.add_argument("--lr", type=float, default=None,
+                   help="default 1e-5 for a cde encoder, else 1e-3")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_policy)
 
     p = sub.add_parser("analyze", help="correlation tables and projections")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--cohort", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_analyze)
 
     for p in sub.choices.values():
-        p.set_defaults(config_options=_config_options(p))
+        p.add_argument("--config", default=None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A flag beats its --config key, which beats the
+    flag's default: the config file becomes the subcommand's defaults and
+    the command line is parsed again."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(args.config)
-        _check_config(args.command, args.config_options, config)
-        return args.func(args, config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, CohortError, BundleFormatError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (TrainingDiverged, OdeError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+        if args.config:
+            config = _check_config(args.subparser, _load_config_file(args.config))
+            args.subparser.set_defaults(**config)
+            args = parser.parse_args(argv)
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        code = exit_code(exc)
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -47,18 +47,23 @@ HISTORY_HEADER = "epoch,train_mse,val_mse,rho_sofa,rho_saps2,rho_oasis"
 CURVE_HEADER = "iteration,wis_return,ess,q_loss,filter_loss"
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
+def _atomic_write(path: Path, write) -> None:
+    """``write(tmp)`` fills a temporary file next to ``path``, which then
+    replaces ``path``; on any failure the temporary file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    _atomic_write(Path(path), lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -78,15 +83,7 @@ def read_json(path: str | Path) -> dict:
 
 
 def _atomic_bundle(path: Path, tag: str, arrays) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    try:
-        save_bundle(tmp, tag, arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, lambda tmp: save_bundle(tmp, tag, arrays))
 
 
 def write_csv(path: str | Path, header: str, rows: list[list]) -> None:
@@ -145,6 +142,8 @@ def load_encoder_run(run_dir: str | Path) -> tuple[EncoderModel, NormStats, dict
     if not manifest_path.exists():
         raise FileNotFoundError(f"{run_dir}: missing manifest.json")
     manifest = read_json(manifest_path)
+    if manifest.get("artifact") != "encoder_run":
+        raise DataError(f"{run_dir}: not an encoder run directory")
     for key in _ENCODER_MANIFEST_KEYS:
         node = manifest
         for part in key.split("."):

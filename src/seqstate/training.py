@@ -222,6 +222,8 @@ def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
     """Train in place; returns the best-validation-MSE checkpoint."""
     if not train_trajs or not val_trajs:
         raise ValueError("training and validation splits must be nonempty")
+    if config.epochs < 1 or config.batch_size < 1:
+        raise ValueError("epochs and batch_size must be at least 1")
     train_ids = {t.patient_id for t in train_trajs}
     if any(t.patient_id in train_ids for t in val_trajs):
         raise ValueError("training and validation splits overlap")

@@ -5,10 +5,18 @@
 file alone; rewrite it only for a change that is meant to move them:
 
     PYTHONPATH=src python tests/make_golden.py
+
+``--fingerprint`` prints one sha256 over the recomputed arrays instead and
+writes nothing. A refactor that must keep the numbers bit-identical prints
+the same hash at its parent commit and at the change, on the same machine:
+
+    PYTHONPATH=src python tests/make_golden.py --fingerprint
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +113,23 @@ def golden_arrays() -> dict[str, np.ndarray]:
     return out
 
 
+def fingerprint(arrays: dict[str, np.ndarray]) -> str:
+    """sha256 over each array's name, dtype, shape and bytes, in name order."""
+    digest = hashlib.sha256()
+    for key in sorted(arrays):
+        array = np.ascontiguousarray(arrays[key])
+        digest.update(f"{key}|{array.dtype.str}|{array.shape}|".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(GOLDEN, **golden_arrays())
-    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--fingerprint", action="store_true",
+                        help="print the sha256 of the arrays; write nothing")
+    if parser.parse_args().fingerprint:
+        print(fingerprint(golden_arrays()))
+    else:
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(GOLDEN, **golden_arrays())
+        print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")

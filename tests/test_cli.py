@@ -316,3 +316,54 @@ def test_manifest_missing_key_is_data_error(tmp_path, cohort_csv, encoder_run,
     code = main(["train-policy", "--encoder-run", str(run),
                  "--cohort", str(cohort_csv), "--out", str(tmp_path / "p")])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, config, code, by_argparse", [
+    (["sweep", "--d-s-list", "4,x"], None, 2, True),
+    (["sweep", "--seeds", "0,x"], None, 2, True),
+    (["sweep", "--kinds", "bogus"], None, 2, True),
+    (["sweep", "--modes", "bogus"], None, 2, True),
+    (["sweep", "--d-s-list", "0"], None, 2, False),  # every task fails
+    (["sweep", "--cohort", "{missing}"], None, 3, False),
+    (["train-encoder", "--d-s", "0"], None, 2, True),
+    (["train-encoder", "--batch-size", "0"], None, 2, True),
+    (["train-encoder", "--epochs", "0"], None, 2, True),
+    (["train-policy", "--eval-every", "0"], None, 2, True),
+    (["sweep"], {"d_s_list": "4,x"}, 2, False),
+    (["sweep"], {"kinds": "bogus"}, 2, False),
+])
+def test_bad_values_exit_with_their_code(tmp_path, cohort_csv, encoder_run,
+                                         capsys, argv, config, code,
+                                         by_argparse):
+    command, *flags = argv
+    argv = [command, "--cohort", str(cohort_csv),
+            *{"sweep": ["--epochs", "1"], "train-encoder": ["--kind", "ae"],
+              "train-policy": ["--encoder-run", str(encoder_run)]}[command],
+            *(f.format(missing=tmp_path / "nope.csv") for f in flags),
+            "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if by_argparse:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == code
+    else:
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for key in config or ():
+        assert repr(key) in err
+
+
+def test_policy_run_is_not_an_encoder_run(tmp_path, cohort_csv, encoder_run,
+                                          capsys):
+    run = _copy_run(encoder_run, tmp_path / "run")
+    manifest = read_json(run / "manifest.json")
+    (run / "manifest.json").write_text(json.dumps({**manifest,
+                                                   "artifact": "policy_run"}))
+    for argv in (["analyze", "--runs", str(run)],
+                 ["train-policy", "--encoder-run", str(run)]):
+        assert main([*argv, "--cohort", str(cohort_csv),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "not an encoder run directory" in capsys.readouterr().err

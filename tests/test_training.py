@@ -156,6 +156,16 @@ def test_split_overlap_rejected():
         train_encoder(model, train, train, TrainConfig(epochs=1, lr=1e-4))
 
 
+@pytest.mark.parametrize("epochs, batch_size", [(0, 128), (1, 0)])
+def test_empty_schedule_rejected(epochs, batch_size):
+    # library callers bypass the CLI's flag parsers
+    train, val, _ = _splits(60, seed=7)
+    model = build_encoder("ae", 4, "obs", seed=9)
+    cfg = TrainConfig(epochs=epochs, lr=1e-4, batch_size=batch_size)
+    with pytest.raises(ValueError, match="at least 1"):
+        train_encoder(model, train, val, cfg)
+
+
 def test_regularized_history_logs_rho():
     train, val, _ = _splits(100, seed=8)
     model = build_encoder("ae", 4, "obs", seed=10)
