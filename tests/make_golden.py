@@ -23,13 +23,14 @@ import numpy as np
 
 from seqstate import autodiff as ad
 from seqstate.cohort import Trajectory, compute_norm_stats, znormalize
-from seqstate.encoders import (INPUT_MODES, KINDS, build_encoder, make_batch,
-                               model_forward, predict_next_obs)
+from seqstate.encoders import (INPUT_MODES, KINDS, build_encoder, encode_many,
+                               make_batch, model_forward, predict_next_obs)
 from seqstate.optim import adam_init, adam_step, clip_global_norm, collect_grads
 from seqstate.policy import (BCConfig, BCQConfig, TransitionBuffer, WisEvalSet,
                              behavior_clone, train_bcq, trajectory_weights)
 from seqstate.synthetic import generate_synthetic
-from seqstate.training import GRAD_CLIP_NORM, batch_objective
+from seqstate.training import (GRAD_CLIP_NORM, SCORE_NAMES, batch_objective,
+                               evaluate_mse, evaluate_rho)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.npz"
 D_S = 4
@@ -45,11 +46,24 @@ def golden_patients() -> list[Trajectory]:
             for t, n in zip(long_stays, (5, 3))]
 
 
+def inference_patients() -> list[Trajectory]:
+    """The golden patients and a one-step stay cut from the first, longest
+    first, so that a length-sorted inference path has to reorder them."""
+    first, second = golden_patients()
+    one_step = Trajectory(f"{first.patient_id}-1", first.obs[:1], first.demog,
+                          first.actions[:1], first.sofa[:1], first.saps2[:1],
+                          first.oasis[:1], first.outcome)
+    return [first, second, one_step]
+
+
 def encoder_arrays(kind: str) -> dict[str, np.ndarray]:
     """Per input mode: latents, predictions, the regularized loss and its
     MSE part, one ``predict_next_obs`` row, and the latents after one
-    clipped Adam step of that loss."""
+    clipped Adam step of that loss. On the inference patients: each one's
+    ``encode_many`` rows, and ``evaluate_mse`` followed by ``evaluate_rho``
+    per score."""
     trajs = golden_patients()
+    inference = inference_patients()
     out = {}
     for mode in INPUT_MODES:
         key = f"{kind}.{mode}"
@@ -64,6 +78,11 @@ def encoder_arrays(kind: str) -> dict[str, np.ndarray]:
         out[f"{key}.next_obs"] = predict_next_obs(
             model, prefix if kind == "dst" else prefix[-1],
             int(trajs[0].actions[2]))
+        for i, lat in enumerate(encode_many(model, inference)):
+            out[f"{key}.encode_many.{i}"] = lat
+        rho = evaluate_rho(model, inference)
+        out[f"{key}.val_metrics"] = np.array(
+            [evaluate_mse(model, inference), *(rho[name] for name in SCORE_NAMES)])
 
         loss, mse_value, _, _ = batch_objective(model, batch, regularize=True)
         out[f"{key}.loss"] = np.array([float(loss.data), mse_value])
