@@ -12,7 +12,7 @@ from .cohort import Trajectory
 # encode_trajectory stays bound here: the benchmark's tracer counts
 # per-patient encodes by patching this name.
 from .encoders import EncoderModel, encode_many, encode_trajectory  # noqa: F401
-from .training import evaluate_rho
+from .training import latent_rho
 
 # Best reported settings per architecture on the original restricted-access
 # ICU cohort (documentation targets; not reachable on synthetic data).
@@ -62,23 +62,25 @@ def pooled_latents(model: EncoderModel, trajs: list[Trajectory]) -> np.ndarray:
     return np.concatenate(encode_many(model, trajs))
 
 
-def correlation_table(models: dict[str, EncoderModel],
+def correlation_table(latents: dict[str, list[np.ndarray]],
                       trajs: list[Trajectory]) -> dict[str, dict[str, float]]:
-    """Mean per-dimension latent-score correlation per model and score."""
-    if not models or not trajs:
-        raise ValueError("need at least one model and one trajectory")
-    return {name: evaluate_rho(model, trajs) for name, model in models.items()}
+    """Mean per-dimension latent-score correlation per run and score;
+    ``latents[name]`` holds that run's ``encode_many`` rows of ``trajs``."""
+    if not latents or not trajs:
+        raise ValueError("need at least one run and one trajectory")
+    return {name: latent_rho(lats, trajs) for name, lats in latents.items()}
 
 
-def endpoint_projection(model: EncoderModel, trajs: list[Trajectory],
+def endpoint_projection(latents: list[np.ndarray], trajs: list[Trajectory],
                         pca: PcaModel) -> list[dict]:
-    """First/last latent of each patient in component space.
+    """First/last latent of each patient in component space; ``latents``
+    holds the ``encode_many`` rows of ``trajs``.
 
     Single-step trajectories contribute one row; the outcome column drives
     the survived/died coloring downstream.
     """
     rows = []
-    for traj, lat in zip(trajs, encode_many(model, trajs)):
+    for traj, lat in zip(trajs, latents):
         proj = pca_project(pca, lat)
         points = [("first", 0)]
         if traj.n_steps >= 2:

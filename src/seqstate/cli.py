@@ -17,13 +17,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (REFERENCE_BEST, SweepRow, aggregate_sweep,
-                       correlation_table, endpoint_projection, pca_fit,
-                       pooled_latents)
+                       correlation_table, endpoint_projection, pca_fit)
+# pooled_latents stays bound here: the benchmark's tracer patches this name.
+from .analysis import pooled_latents  # noqa: F401
 from .bundle import BundleFormatError
 from .cohort import (Cohort, CohortError, SplitSpec, compute_norm_stats,
                      load_cohort, save_cohort, stratified_split, znormalize)
-from .encoders import D_S_GRID, INPUT_MODES, KINDS, build_encoder
+from .encoders import D_S_GRID, INPUT_MODES, KINDS, build_encoder, encode_many
 from .odesolve import OdeError
 from .policy import (BCConfig, BCQConfig, behavior_clone, build_buffer,
                      make_eval_set, train_bcq, wis_evaluate)
@@ -58,12 +61,20 @@ def exit_code(exc: BaseException) -> int | None:
                  if isinstance(exc, cls)), None)
 
 
-def positive_int(text: str) -> int:
-    """The parser of every count flag."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(low: int, name: str):
+    """The parser, called ``name``, of an int flag whose values start at
+    ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
+positive_int = int_at_least(1, "positive_int")  # every count flag
+seed_int = int_at_least(0, "seed_int")  # every seed flag
 
 
 def comma_list(item=str, choices=None):
@@ -334,12 +345,12 @@ def cmd_analyze(args) -> int:
         spec = SplitSpec(seed=manifest["split"]["seed"])
         _train, _val, test = stratified_split(cohort, spec)
         test_n = znormalize(test, stats)
-        rho = correlation_table({name: model}, test_n.trajectories)[name]
+        lats = encode_many(model, test_n.trajectories)
+        rho = correlation_table({name: lats}, test_n.trajectories)[name]
         corr_rows.append([name, model.kind, rho["sofa"], rho["saps2"],
                           rho["oasis"]])
-        lats = pooled_latents(model, test_n.trajectories)
-        pca = pca_fit(lats, k=min(2, model.d_s))
-        proj = endpoint_projection(model, test_n.trajectories, pca)
+        pca = pca_fit(np.concatenate(lats), k=min(2, model.d_s))
+        proj = endpoint_projection(lats, test_n.trajectories, pca)
         write_csv(
             out / f"projection_{name}.csv",
             "patient_id,which,pc1,pc2,outcome,sofa",
@@ -382,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--cohort", required=True)
     training.add_argument("--batch-size", type=positive_int, default=128)
-    training.add_argument("--split-seed", type=int, default=0)
+    training.add_argument("--split-seed", type=seed_int, default=0)
     training.add_argument("--substeps", type=positive_int, default=DESK_SUBSTEPS,
                           help="solver substeps per time bin (desk default 1; "
                                "reference accuracy 4)")
 
     p = sub.add_parser("gen-data", help="generate a synthetic cohort CSV")
     p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--mortality", type=float, default=0.09)
     p.set_defaults(func=cmd_gen_data)
 
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-scale", action="store_true",
                    help="use the reference epoch schedule instead of desk scale")
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--lambda-scale", type=float, default=None)
     p.set_defaults(func=cmd_train_encoder)
 
@@ -420,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(D_S_GRID),
                    help="comma list (default: 4,8,16,32,64,128,256)")
     p.add_argument("--modes", type=comma_list(str, INPUT_MODES), default=["obs"])
-    p.add_argument("--seeds", type=comma_list(int), default=[0])
+    p.add_argument("--seeds", type=comma_list(seed_int), default=[0])
     p.add_argument("--reg", choices=("off", "on", "both"), default="off")
     p.add_argument("--epochs", type=positive_int, default=DESK_EPOCHS)
     p.add_argument("--workers", type=positive_int, default=1)
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-every", type=positive_int, default=500)
     p.add_argument("--lr", type=float, default=None,
                    help="default 1e-5 for a cde encoder, else 1e-3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.set_defaults(func=cmd_train_policy)
 
     p = sub.add_parser("analyze", help="correlation tables and projections")

@@ -178,7 +178,9 @@ def _fmt(x: float) -> str:
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
-    """Write the cohort CSV plus its JSON sidecar."""
+    """Write the cohort CSV plus its JSON sidecar, each atomically."""
+    from .runio import atomic_write_text  # runio imports this module
+
     path = Path(path)
     lines = [",".join(CSV_HEADER)]
     for traj in cohort.trajectories:
@@ -195,15 +197,13 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
             row.extend(_fmt(v) for v in traj.demog)
             row.extend(_fmt(v) for v in traj.obs[t])
             lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + "\n")
     sidecar = {
         "provenance": cohort.provenance,
         "n_patients": len(cohort),
         "normalization": cohort.stats.to_dict() if cohort.stats else None,
     }
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=1), encoding="utf-8"
-    )
+    atomic_write_text(str(path) + ".meta.json", json.dumps(sidecar, indent=1))
 
 
 def load_cohort(path: str | Path, max_steps: int = DEFAULT_MAX_STEPS) -> Cohort:

@@ -481,9 +481,11 @@ def model_forward(model: EncoderModel, batch: Batch) -> ForwardOut:
 ENCODE_BATCH = 128  # the training batch size
 
 
-def encode_many(model: EncoderModel, trajs: list[Trajectory]) -> list[np.ndarray]:
-    """Latent rows, (n_steps, d_s) each, for normalized trajectories in input
-    order (inference mode).
+def infer_many(model: EncoderModel,
+               trajs: list[Trajectory]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Latent rows, (n_steps, d_s) each, and next-observation prediction
+    rows, (n_steps - 1, N_OBS) each, for normalized trajectories in input
+    order; the one inference-mode loop over a frozen model.
 
     Patients run ENCODE_BATCH at a time in order of stay length, so a batch
     carries little padding. Every encoder is causal, so a patient's rows do
@@ -492,18 +494,28 @@ def encode_many(model: EncoderModel, trajs: list[Trajectory]) -> list[np.ndarray
     different kernels for different batch shapes.
     """
     order = sorted(range(len(trajs)), key=lambda i: trajs[i].n_steps)
-    out: list = [None] * len(trajs)
+    latents: list = [None] * len(trajs)
+    preds: list = [None] * len(trajs)
     for lo in range(0, len(order), ENCODE_BATCH):
         chunk = order[lo:lo + ENCODE_BATCH]
         batch = make_batch([trajs[i] for i in chunk], model.input_mode)
         with ad.no_grad():
-            latents = model_forward(model, batch).latents.data
+            out = model_forward(model, batch)
         for row, i in enumerate(chunk):
-            lat = latents[row, :trajs[i].n_steps]
-            if not np.all(np.isfinite(lat)):
-                raise RuntimeError(f"non-finite latents for {trajs[i].patient_id}")
-            out[i] = lat.copy()
-    return out
+            n = trajs[i].n_steps
+            latents[i] = out.latents.data[row, :n].copy()
+            preds[i] = out.preds.data[row, :n - 1].copy()
+    return latents, preds
+
+
+def encode_many(model: EncoderModel, trajs: list[Trajectory]) -> list[np.ndarray]:
+    """The latent rows of ``infer_many``; a non-finite row raises
+    FloatingPointError naming its patient."""
+    latents, _preds = infer_many(model, trajs)
+    for traj, lat in zip(trajs, latents):
+        if not np.all(np.isfinite(lat)):
+            raise FloatingPointError(f"non-finite latents for {traj.patient_id}")
+    return latents
 
 
 def encode_trajectory(model: EncoderModel, traj: Trajectory) -> LatentSequence:

@@ -211,33 +211,6 @@ def mse(pred: Tensor, target) -> Tensor:
 _VAR_FLOOR = 1e-12
 
 
-def pearson_flagged(x: Tensor, y) -> tuple[Tensor, bool]:
-    """Sample Pearson coefficient and a degenerate-variance flag.
-
-    Inputs with (numerically) zero variance yield (0, True) instead of a
-    division blow-up so that early training on constant latents proceeds.
-    """
-    y = y if isinstance(y, Tensor) else Tensor(y)
-    if x.data.ndim != 1 or y.data.ndim != 1 or x.data.shape != y.data.shape:
-        raise ValueError("pearson expects two equal-length vectors")
-    if x.data.size < 2:
-        raise ValueError("pearson needs at least two samples")
-    var_x = float(np.var(x.data))
-    var_y = float(np.var(y.data))
-    if var_x < _VAR_FLOOR or var_y < _VAR_FLOOR:
-        return Tensor(0.0), True
-    xc = ad.sub(x, ad.tmean(x))
-    yc = ad.sub(y, ad.tmean(y))
-    num = ad.tsum(ad.mul(xc, yc))
-    den = ad.sqrt(ad.mul(ad.tsum(ad.mul(xc, xc)), ad.tsum(ad.mul(yc, yc))))
-    return ad.div(num, den), False
-
-
-def pearson(x: Tensor, y) -> Tensor:
-    rho, _ = pearson_flagged(x, y)
-    return rho
-
-
 def column_pearson(x: Tensor, y) -> tuple[Tensor, np.ndarray]:
     """Pearson of each column of ``x`` (N, D) against the vector ``y`` (N,).
 

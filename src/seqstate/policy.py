@@ -135,13 +135,13 @@ def behavior_clone(buffer: TransitionBuffer, config: BCConfig | None = None) -> 
                       missing_actions=missing)
 
     state = adam_init(params, config.lr)
-    for _ in range(config.iterations):
+    for it in range(1, config.iterations + 1):
         s, a, _, _, _ = buffer.sample(config.batch_size)
         params.zero_grad()
         logits = nn.mlp(Tensor(s), params, "bc", _BC_ACTS)
         loss = nn.softmax_cross_entropy(logits, a)
         if not np.isfinite(float(loss.data)):
-            raise RuntimeError("behavior cloning diverged")
+            raise FloatingPointError(f"behavior cloning diverged at iteration {it}")
         loss.backward()
         adam_step(state, params, collect_grads(params))
 
@@ -262,7 +262,7 @@ def train_bcq(buffer: TransitionBuffer, config: BCQConfig | None = None,
         f_loss = nn.softmax_cross_entropy(f_logits, a)
         loss = ad.add(q_loss, f_loss)
         if not np.isfinite(float(loss.data)):
-            raise RuntimeError(f"BCQ diverged at iteration {it}")
+            raise FloatingPointError(f"BCQ diverged at iteration {it}")
         loss.backward()
         adam_step(state, params, collect_grads(params))
 

@@ -69,6 +69,9 @@ class SyntheticConfig:
     def validate(self) -> None:
         if self.max_steps < 2:
             raise ValueError("max_steps must be at least 2")
+        if not 0.0 <= self.mortality_target <= 1.0:
+            raise ValueError(
+                f"mortality target must lie in [0, 1], got {self.mortality_target}")
         if self.death_threshold >= self.discharge_threshold:
             raise ValueError("death threshold must sit below discharge threshold")
         if self.noise_std == 0.0 and self.behavior_noise == 0.0:

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .cohort import N_OBS, Trajectory
-from .encoders import Batch, EncoderModel, make_batch, model_forward
+from .encoders import Batch, EncoderModel, infer_many, make_batch, model_forward
 from .optim import adam_init, adam_step, clip_global_norm, collect_grads
 
 GRAD_CLIP_NORM = 10.0
@@ -150,58 +150,32 @@ def batch_objective(model: EncoderModel, batch: Batch,
     return loss, mse_value, n_pairs, rho_values
 
 
-def _iter_batches(trajs: list[Trajectory], order: np.ndarray, size: int,
-                  input_mode: str):
-    for lo in range(0, len(order), size):
-        chunk = [trajs[i] for i in order[lo:lo + size]]
-        yield make_batch(chunk, input_mode)
-
-
-def evaluate_mse(model: EncoderModel, trajs: list[Trajectory],
-                 batch_size: int = 128) -> float:
+def evaluate_mse(model: EncoderModel, trajs: list[Trajectory]) -> float:
     """Prediction MSE over all (t -> t+1) pairs, inference mode."""
-    total, pairs = 0.0, 0.0
-    order = np.arange(len(trajs))
-    with ad.no_grad():
-        for batch in _iter_batches(trajs, order, batch_size, model.input_mode):
-            out = model_forward(model, batch)
-            err = (out.preds.data - batch.obs_next) ** 2
-            err *= batch.pair_mask[:, :, None]
-            total += float(err.sum())
-            pairs += float(batch.pair_mask.sum())
+    pairs = sum(t.n_steps - 1 for t in trajs)
     if pairs == 0:
         return float("nan")
-    return total / (pairs * N_OBS)
+    _latents, preds = infer_many(model, trajs)
+    err = np.concatenate(preds) - np.concatenate([t.obs[1:] for t in trajs])
+    return float((err * err).sum()) / (pairs * N_OBS)
 
 
-def evaluate_rho(model: EncoderModel, trajs: list[Trajectory],
-                 batch_size: int = 128) -> dict[str, float]:
-    """Signed mean per-dimension correlation on pooled steps (numpy only)."""
-    lat_blocks, score_blocks = [], []
-    order = np.arange(len(trajs))
+def latent_rho(latents: list[np.ndarray], trajs: list[Trajectory]) -> dict[str, float]:
+    """Per score, the mean over all latent columns of the column's Pearson
+    correlation with the score on the pooled steps of ``trajs``, whose
+    latent rows ``latents`` holds; a degenerate column counts as 0."""
+    pooled = Tensor(np.concatenate(latents))
+    out = {}
     with ad.no_grad():
-        for batch in _iter_batches(trajs, order, batch_size, model.input_mode):
-            out = model_forward(model, batch)
-            valid = batch.mask.reshape(-1).astype(bool)
-            bsz, t_max = batch.shape
-            lat_blocks.append(out.latents.data.reshape(bsz * t_max, -1)[valid])
-            score_blocks.append(batch.scores.reshape(bsz * t_max, -1)[valid])
-    lats = np.concatenate(lat_blocks)
-    scores = np.concatenate(score_blocks)
-    result = {}
-    for k, name in enumerate(SCORE_NAMES):
-        y = scores[:, k]
-        y_std = y.std()
-        rhos = []
-        for j in range(lats.shape[1]):
-            x = lats[:, j]
-            x_std = x.std()
-            if x_std < 1e-12 or y_std < 1e-12:
-                rhos.append(0.0)
-            else:
-                rhos.append(float(np.corrcoef(x, y)[0, 1]))
-        result[name] = float(np.mean(rhos))
-    return result
+        for name in SCORE_NAMES:
+            score = np.concatenate([getattr(t, name) for t in trajs])
+            out[name] = float(nn.column_pearson(pooled, score)[0].data.mean())
+    return out
+
+
+def evaluate_rho(model: EncoderModel, trajs: list[Trajectory]) -> dict[str, float]:
+    """Signed mean per-dimension correlation on pooled steps, inference mode."""
+    return latent_rho(infer_many(model, trajs)[0], trajs)
 
 
 def mean_predictor_baseline(train_trajs: list[Trajectory],
@@ -244,8 +218,9 @@ def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
         sum_mse, sum_pairs = 0.0, 0.0
         rho_sums: dict[str, float] = dict.fromkeys(SCORE_NAMES, 0.0)
         n_batches = 0
-        for batch in _iter_batches(train_trajs, order, config.batch_size,
-                                   model.input_mode):
+        for lo in range(0, len(order), config.batch_size):
+            chunk = [train_trajs[i] for i in order[lo:lo + config.batch_size]]
+            batch = make_batch(chunk, model.input_mode)
             model.params.zero_grad()
             loss, mse_value, n_pairs, rho_values = batch_objective(
                 model, batch, config.regularize
@@ -262,7 +237,7 @@ def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
                 rho_sums[name] += v
             n_batches += 1
 
-        val_mse = evaluate_mse(model, val_trajs, config.batch_size)
+        val_mse = evaluate_mse(model, val_trajs)
         if not np.isfinite(val_mse):
             raise TrainingDiverged(epoch, val_mse)
         record = EpochRecord(

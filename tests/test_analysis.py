@@ -7,7 +7,7 @@ from seqstate.analysis import (REFERENCE_BEST, SweepRow, aggregate_sweep,
                                correlation_table, endpoint_projection,
                                pca_fit, pca_project, pooled_latents)
 from seqstate.cohort import Trajectory, compute_norm_stats, znormalize
-from seqstate.encoders import build_encoder, encode_trajectory
+from seqstate.encoders import build_encoder, encode_many, encode_trajectory
 from seqstate.synthetic import generate_synthetic
 
 
@@ -80,7 +80,8 @@ def test_correlation_entries_bounded():
     trajs = _setup(30, seed=1)
     models = {"a": build_encoder("ae", 4, "obs", seed=0),
               "b": build_encoder("rnn", 4, "obs", seed=1)}
-    table = correlation_table(models, trajs)
+    table = correlation_table(
+        {name: encode_many(m, trajs) for name, m in models.items()}, trajs)
     for row in table.values():
         for v in row.values():
             assert -1.0 <= v <= 1.0
@@ -95,7 +96,7 @@ def test_correlation_replicated_score_is_one():
         lat = encode_trajectory(model, t).latents[:, 0]
         planted.append(Trajectory(t.patient_id, t.obs, t.demog, t.actions,
                                   lat.copy(), t.saps2, t.oasis, t.outcome))
-    table = correlation_table({"planted": model}, planted)
+    table = correlation_table({"planted": encode_many(model, planted)}, planted)
     assert table["planted"]["sofa"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -121,7 +122,7 @@ def test_endpoint_projection_rows_and_recomputation():
     model = build_encoder("ae", 4, "obs", seed=4)
     lats = pooled_latents(model, trajs)
     pca = pca_fit(lats, k=2)
-    rows = endpoint_projection(model, trajs, pca)
+    rows = endpoint_projection(encode_many(model, trajs), trajs, pca)
     multi = sum(1 for t in trajs if t.n_steps >= 2)
     single = sum(1 for t in trajs if t.n_steps == 1)
     assert len(rows) == 2 * multi + single
@@ -143,7 +144,7 @@ def test_endpoint_projection_single_step_patient():
     model = build_encoder("ae", 4, "obs", seed=5)
     lats = pooled_latents(model, trajs)
     pca = pca_fit(lats, k=2)
-    rows = endpoint_projection(model, [stub], pca)
+    rows = endpoint_projection(encode_many(model, [stub]), [stub], pca)
     assert len(rows) == 1
     assert rows[0]["which"] == "first"
 

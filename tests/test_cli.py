@@ -331,14 +331,26 @@ def test_manifest_missing_key_is_data_error(tmp_path, cohort_csv, encoder_run,
     (["train-policy", "--eval-every", "0"], None, 2, True),
     (["sweep"], {"d_s_list": "4,x"}, 2, False),
     (["sweep"], {"kinds": "bogus"}, 2, False),
+    (["train-encoder", "--split-seed", "-1"], None, 2, True),
+    (["train-encoder", "--seed", "-1"], None, 2, True),
+    (["sweep", "--split-seed", "-1"], None, 2, True),
+    (["sweep", "--seeds", "0,-1"], None, 2, True),
+    (["train-policy", "--seed", "-1"], None, 2, True),
+    (["gen-data", "--seed", "-1"], None, 2, True),
+    (["sweep"], {"split_seed": -1}, 2, False),
+    (["gen-data", "--mortality", "1.5"], None, 2, False),
+    (["gen-data", "--mortality", "-0.5"], None, 2, False),
 ])
 def test_bad_values_exit_with_their_code(tmp_path, cohort_csv, encoder_run,
                                          capsys, argv, config, code,
                                          by_argparse):
     command, *flags = argv
-    argv = [command, "--cohort", str(cohort_csv),
-            *{"sweep": ["--epochs", "1"], "train-encoder": ["--kind", "ae"],
-              "train-policy": ["--encoder-run", str(encoder_run)]}[command],
+    cohort = ["--cohort", str(cohort_csv)]
+    argv = [command,
+            *{"gen-data": ["--n", "20"],
+              "sweep": [*cohort, "--epochs", "1"],
+              "train-encoder": [*cohort, "--kind", "ae"],
+              "train-policy": [*cohort, "--encoder-run", str(encoder_run)]}[command],
             *(f.format(missing=tmp_path / "nope.csv") for f in flags),
             "--out", str(tmp_path / "out")]
     if config is not None:
@@ -354,6 +366,29 @@ def test_bad_values_exit_with_their_code(tmp_path, cohort_csv, encoder_run,
     assert "Traceback" not in err
     for key in config or ():
         assert repr(key) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-policy", "--encoder-run", "{run}", "--lr", "1e300"],
+     "BCQ diverged at iteration"),
+    (["train-policy", "--encoder-run", "{nan_run}"], "non-finite latents for"),
+    (["analyze", "--runs", "{nan_run}"], "non-finite latents for"),
+])
+def test_numerical_failures_exit_4(tmp_path, cohort_csv, encoder_run, capsys,
+                                   argv, message):
+    from seqstate.bundle import load_bundle, save_bundle
+
+    nan_run = _copy_run(encoder_run, tmp_path / "nan_run")
+    tag, arrays = load_bundle(nan_run / "model.bin")
+    arrays["enc.l1.b"][0] = np.nan
+    save_bundle(nan_run / "model.bin", tag, arrays)
+    argv = [f.format(run=encoder_run, nan_run=nan_run) for f in argv]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--cohort", str(cohort_csv),
+                     "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"numerical failure: {message}" in err
 
 
 def test_policy_run_is_not_an_encoder_run(tmp_path, cohort_csv, encoder_run,

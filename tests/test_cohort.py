@@ -1,5 +1,7 @@
 """Data model: CSV ingestion, splits, normalization, actions, surrogates."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,24 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.demog, b.demog)
         assert np.array_equal(a.sofa, b.sofa)
+
+
+def test_save_cohort_failure_keeps_previous_files(tmp_path, monkeypatch):
+    path = tmp_path / "c.csv"
+    save_cohort(_tiny_cohort(10, seed=1), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_write_text = Path.write_text
+
+    def fail_half_way(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", fail_half_way)
+    with pytest.raises(OSError, match="disk full"):
+        save_cohort(_tiny_cohort(12, seed=2), path)
+    monkeypatch.undo()
+    # the old CSV and sidecar, and no temporary file
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_wellformed_two_patient_file(tmp_path):

@@ -147,9 +147,9 @@ def test_encode_many_names_the_non_finite_patient():
                           bad.saps2, bad.oasis, bad.outcome)
     model = build_encoder("ae", 4, "obs", seed=14)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(RuntimeError, match="patient-inf"):
+        with pytest.raises(FloatingPointError, match="patient-inf"):
             encode_many(model, trajs)
-        with pytest.raises(RuntimeError, match="patient-inf"):
+        with pytest.raises(FloatingPointError, match="patient-inf"):
             encode_trajectory(model, trajs[5])
 
 

@@ -54,30 +54,46 @@ def _pearson_reference(x, y):
     return float((xc * yc).sum() / np.sqrt((xc * xc).sum() * (yc * yc).sum()))
 
 
+def _rho(x, y) -> float:
+    """column_pearson of the vector x as a one-column matrix."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    return float(nn.column_pearson(Tensor(x), y)[0].data[0])
+
+
 def test_pearson_self_correlation():
-    x = Tensor([0.3, 1.9, -4.0, 2.2])
-    assert float(nn.pearson(x, x.data).data) == pytest.approx(1.0)
+    x = [0.3, 1.9, -4.0, 2.2]
+    assert _rho(x, x) == pytest.approx(1.0)
 
 
 def test_pearson_exact_anticorrelation():
-    assert float(nn.pearson(Tensor([1.0, 2.0, 3.0]), [3.0, 2.0, 1.0]).data) == \
-        pytest.approx(-1.0)
+    assert _rho([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
 
 
 def test_pearson_formula_oracle():
-    got = float(nn.pearson(Tensor([1.0, 2.0, 3.0]), [1.0, 2.0, 4.0]).data)
+    got = _rho([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
     assert got == pytest.approx(_pearson_reference([1, 2, 3], [1, 2, 4]), abs=1e-12)
 
 
 def test_pearson_degenerate_flag():
-    rho, flag = nn.pearson_flagged(Tensor([2.0, 2.0, 2.0]), [1.0, 2.0, 3.0])
-    assert flag and float(rho.data) == 0.0
+    rho, flag = nn.column_pearson(Tensor([[2.0], [2.0], [2.0]]), [1.0, 2.0, 3.0])
+    assert flag.tolist() == [True] and float(rho.data[0]) == 0.0
 
 
 def test_pearson_differentiable():
     rng = np.random.default_rng(2)
     y = rng.normal(size=12)
-    err = grad_check(lambda t: nn.pearson(t, y), rng.normal(size=12))
+    err = grad_check(lambda t: ad.tsum(nn.column_pearson(t, y)[0]),
+                     rng.normal(size=(12, 1)))
+    assert err < 1e-7
+
+
+def test_column_pearson_differentiable():
+    # the training loss takes the mean rho over the latent columns
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=15)
+    x = rng.normal(size=(15, 4))
+    weights = rng.normal(size=4)
+    err = grad_check(lambda t: ad.tsum(ad.mul(nn.column_pearson(t, y)[0], weights)), x)
     assert err < 1e-7
 
 
@@ -91,9 +107,9 @@ def test_pearson_affine_invariance(a, b, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=10)
     y = rng.normal(size=10)
-    base = float(nn.pearson(Tensor(x), y).data)
-    scaled = float(nn.pearson(Tensor(a * x + b), y).data)
-    negated = float(nn.pearson(Tensor(-a * x + b), y).data)
+    base = _rho(x, y)
+    scaled = _rho(a * x + b, y)
+    negated = _rho(-a * x + b, y)
     assert scaled == pytest.approx(base, abs=1e-9)
     assert negated == pytest.approx(-base, abs=1e-9)
 
