@@ -1,4 +1,5 @@
-"""Golden outputs of every encoder kind and of BC/BCQ at fixed seeds.
+"""Golden outputs of the synthetic generator, of every encoder kind and of
+BC/BCQ at fixed seeds.
 
 ``tests/test_golden.py`` recomputes these arrays and compares them with
 ``tests/data/golden.npz``. A refactor that must keep the numbers leaves that
@@ -125,8 +126,21 @@ def policy_arrays() -> dict[str, np.ndarray]:
     }
 
 
+def synthetic_arrays() -> dict[str, np.ndarray]:
+    """The 20-patient cohort at seed 0: every step of obs, actions and the
+    three acuity scores stacked in patient order, with each patient's length
+    and outcome."""
+    trajs = generate_synthetic(20, 0).trajectories
+    out = {f"synthetic.{name}": np.concatenate([getattr(t, name) for t in trajs])
+           for name in ("obs", "actions", "sofa", "saps2", "oasis")}
+    out["synthetic.lengths"] = np.array([t.n_steps for t in trajs])
+    out["synthetic.outcomes"] = np.array([t.outcome for t in trajs])
+    return out
+
+
 def golden_arrays() -> dict[str, np.ndarray]:
     out = policy_arrays()
+    out.update(synthetic_arrays())
     for kind in KINDS:
         out.update(encoder_arrays(kind))
     return out

@@ -1,5 +1,6 @@
-"""Fixed-seed outputs of every encoder kind and of BC/BCQ match the arrays
-committed in tests/data/golden.npz (written by tests/make_golden.py).
+"""Fixed-seed outputs of the synthetic generator, of every encoder kind and of
+BC/BCQ match the arrays committed in tests/data/golden.npz (written by
+tests/make_golden.py).
 
 The tolerance is 1e-12 relative to each array's largest entry: tight enough
 that any change of arithmetic shows, loose enough for another BLAS build's
@@ -9,7 +10,7 @@ summation order. Integer arrays must match exactly.
 import numpy as np
 import pytest
 
-from make_golden import GOLDEN, encoder_arrays, policy_arrays
+from make_golden import GOLDEN, encoder_arrays, policy_arrays, synthetic_arrays
 from seqstate.encoders import KINDS
 
 
@@ -40,3 +41,7 @@ def test_encoder_matches_golden(kind, golden):
 
 def test_policy_matches_golden(golden):
     _assert_matches(policy_arrays(), golden, "policy.")
+
+
+def test_synthetic_matches_golden(golden):
+    _assert_matches(synthetic_arrays(), golden, "synthetic.")
