@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "is_grad_enabled",
     "make_op",
@@ -193,10 +192,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _lift(value) -> Tensor:
@@ -553,18 +548,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     def backward(g):
         softmax = np.exp(out_data)
         a._accumulate(g - softmax * g.sum(axis=axis, keepdims=True))
-
-    return make_op(out_data, (a,), backward)
-
-
-def time_weighted_sum(a, weights: np.ndarray) -> Tensor:
-    """Contract the time axis of ``a`` (B, T, C) with a constant weight vector."""
-    a = _lift(a)
-    weights = np.asarray(weights, dtype=np.float64)
-    out_data = np.einsum("j,bjc->bc", weights, a.data)
-
-    def backward(g):
-        a._accumulate(np.einsum("j,bc->bjc", weights, g))
 
     return make_op(out_data, (a,), backward)
 

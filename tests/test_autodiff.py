@@ -92,14 +92,6 @@ def test_log_softmax_grad_and_normalization():
     assert err < 1e-7
 
 
-def test_time_weighted_sum_grad():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 6, 4))
-    w = rng.normal(size=6)
-    err = grad_check(lambda t: ad.tsum(ad.time_weighted_sum(t, w)), x)
-    assert err < 1e-8
-
-
 def test_no_grad_blocks_graph_construction():
     x = Tensor(np.ones(3), requires_grad=True)
     with ad.no_grad():
