@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,8 +25,8 @@ from .analysis import (REFERENCE_BEST, SweepRow, aggregate_sweep,
 # pooled_latents stays bound here: the benchmark's tracer patches this name.
 from .analysis import pooled_latents  # noqa: F401
 from .bundle import BundleFormatError
-from .cohort import (Cohort, CohortError, SplitSpec, compute_norm_stats,
-                     load_cohort, save_cohort, stratified_split, znormalize)
+from .cohort import (Cohort, CohortError, SplitSpec, load_cohort,
+                     normalized_splits, save_cohort)
 from .encoders import D_S_GRID, INPUT_MODES, KINDS, build_encoder, encode_many
 from .odesolve import OdeError
 from .policy import (BCConfig, BCQConfig, behavior_clone, build_buffer,
@@ -75,6 +76,16 @@ def int_at_least(low: int, name: str):
 
 positive_int = int_at_least(1, "positive_int")  # every count flag
 seed_int = int_at_least(0, "seed_int")  # every seed flag
+
+
+def positive_float(text: str) -> float:
+    """The parser of a float flag that must be positive and finite (every
+    learning rate and --lambda-scale)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
 
 
 def comma_list(item=str, choices=None):
@@ -165,9 +176,7 @@ def run_encoder_training(*, cohort_path: str, out_dir: str, kind: str, d_s: int,
     """Shared single-run pipeline used by train-encoder and sweep."""
     cohort = _load_cohort_checked(cohort_path)
     spec = SplitSpec(seed=split_seed)
-    train, val, _test = stratified_split(cohort, spec)
-    stats = compute_norm_stats(train)
-    train, val = znormalize(train, stats), znormalize(val, stats)
+    train, val, _test, stats = normalized_splits(cohort, spec)
     try:
         model = build_encoder(kind, d_s, mode, seed=seed)
     except ValueError as exc:  # the builder validates its arguments
@@ -177,7 +186,7 @@ def run_encoder_training(*, cohort_path: str, out_dir: str, kind: str, d_s: int,
         regularize=reg, lambda_scale=lambda_scale, solver_substeps=substeps)
     if lr is not None:
         cfg.lr = lr
-    result = train_encoder(model, train.trajectories, val.trajectories, cfg)
+    result = train_encoder(model, train, val, cfg)
     run_config = {
         "command": "train-encoder", "cohort": str(cohort_path), "kind": kind,
         "d_s": d_s, "mode": mode, "reg": reg, "split_seed": split_seed,
@@ -277,10 +286,8 @@ def cmd_train_policy(args) -> int:
     run_dir = Path(args.encoder_run)
     model, stats, manifest = load_encoder_run(run_dir)
     cohort = _load_cohort_checked(args.cohort)
-    spec = SplitSpec(seed=manifest["split"]["seed"])
-    train, _val, test = stratified_split(cohort, spec)
-    train_n = znormalize(train, stats)
-    test_n = znormalize(test, stats)
+    train, _val, test, _stats = normalized_splits(
+        cohort, SplitSpec(seed=manifest["split"]["seed"]), stats)
 
     seed = args.seed
     default_lr = 1e-5 if model.kind == "cde" else 1e-3
@@ -291,9 +298,9 @@ def cmd_train_policy(args) -> int:
         eval_period=args.eval_every,
         seed=seed,
     )
-    buffer = build_buffer(model, train_n.trajectories, seed=seed)
+    buffer = build_buffer(model, train, seed=seed)
     behavior = behavior_clone(buffer, BCConfig(seed=seed))
-    eval_set = make_eval_set(model, test_n.trajectories)
+    eval_set = make_eval_set(model, test)
     policy, curve = train_bcq(buffer, bcq_cfg, eval_ctx=eval_set,
                               behavior=behavior)
     final_wis, final_ess = wis_evaluate(policy, behavior, eval_set)
@@ -322,6 +329,14 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # outputs are named by each run's base name, so two runs must not share one
+    seen: dict[str, str] = {}
+    for run in args.runs:
+        name = Path(run).name
+        if name in seen:
+            raise UsageError(f"analyze: --runs {seen[name]} and {run} share "
+                             f"the base name {name!r}")
+        seen[name] = run
     cohort = _load_cohort_checked(args.cohort)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -342,15 +357,14 @@ def cmd_analyze(args) -> int:
     corr_rows = []
     for name, model in models.items():
         manifest, stats = manifests[name]
-        spec = SplitSpec(seed=manifest["split"]["seed"])
-        _train, _val, test = stratified_split(cohort, spec)
-        test_n = znormalize(test, stats)
-        lats = encode_many(model, test_n.trajectories)
-        rho = correlation_table({name: lats}, test_n.trajectories)[name]
+        _train, _val, test, _stats = normalized_splits(
+            cohort, SplitSpec(seed=manifest["split"]["seed"]), stats)
+        lats = encode_many(model, test)
+        rho = correlation_table({name: lats}, test)[name]
         corr_rows.append([name, model.kind, rho["sofa"], rho["saps2"],
                           rho["oasis"]])
         pca = pca_fit(np.concatenate(lats), k=min(2, model.d_s))
-        proj = endpoint_projection(lats, test_n.trajectories, pca)
+        proj = endpoint_projection(lats, test, pca)
         write_csv(
             out / f"projection_{name}.csv",
             "patient_id,which,pc1,pc2,outcome,sofa",
@@ -416,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "schedule with --reference-scale")
     p.add_argument("--reference-scale", action="store_true",
                    help="use the reference epoch schedule instead of desk scale")
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=positive_float, default=None)
     p.add_argument("--seed", type=seed_int, default=0)
-    p.add_argument("--lambda-scale", type=float, default=None)
+    p.add_argument("--lambda-scale", type=positive_float, default=None)
     p.set_defaults(func=cmd_train_encoder)
 
     # the full reference request is 7 kinds x 7 dims x 4 settings x 5 seeds
@@ -443,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=positive_int,
                    default=DESK_POLICY_ITERATIONS)
     p.add_argument("--eval-every", type=positive_int, default=500)
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--lr", type=positive_float, default=None,
                    help="default 1e-5 for a cde encoder, else 1e-3")
     p.add_argument("--seed", type=seed_int, default=0)
     p.set_defaults(func=cmd_train_policy)

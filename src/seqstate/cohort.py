@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +157,11 @@ class SplitSpec:
 # -- action coding -----------------------------------------------------------------
 
 
-def encode_action(vaso_bin: int, fluid_bin: int) -> int:
-    """Vasopressor-major pairing of the two 5-bin dose axes."""
-    if not (0 <= vaso_bin < N_ACTION_BINS and 0 <= fluid_bin < N_ACTION_BINS):
+def encode_action(vaso_bin, fluid_bin):
+    """Vasopressor-major pairing of the two 5-bin dose axes, for two ints or
+    two integer arrays."""
+    bins = (vaso_bin, fluid_bin)
+    if not all(np.all((0 <= b) & (b < N_ACTION_BINS)) for b in bins):
         raise ValueError(f"bins out of range: ({vaso_bin}, {fluid_bin})")
     return N_ACTION_BINS * vaso_bin + fluid_bin
 
@@ -282,7 +284,9 @@ def load_cohort(path: str | Path, max_steps: int = DEFAULT_MAX_STEPS) -> Cohort:
     provenance = f"ingested({path.name})"
     stats = None
     if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        from .runio import read_json  # runio imports this module
+
+        meta = read_json(sidecar_path)
         provenance = meta.get("provenance", provenance)
         if meta.get("normalization"):
             stats = NormStats.from_dict(meta["normalization"])
@@ -370,11 +374,22 @@ def compute_norm_stats(cohort: Cohort) -> NormStats:
     )
 
 
-def _scale(values, mean, std, constant, inverse=False):
-    safe_std = np.where(constant, 1.0, std)
-    if inverse:
-        return np.where(constant, values, values * safe_std + mean)
-    return np.where(constant, values, (values - mean) / safe_std)
+def _rescale(cohort: Cohort, stats: NormStats, inverse: bool) -> Cohort:
+    """``znormalize``, or with ``inverse`` its inverse."""
+    def scale(values, mean, std, constant):
+        safe_std = np.where(constant, 1.0, std)
+        scaled = values * safe_std + mean if inverse else (values - mean) / safe_std
+        return np.where(constant, values, scaled)
+
+    fixed_demog = stats.constant_demog | ~DEMOG_CONTINUOUS
+    return Cohort(
+        trajectories=[
+            replace(t, obs=scale(t.obs, stats.obs_mean, stats.obs_std,
+                                 stats.constant_obs),
+                    demog=scale(t.demog, stats.demog_mean, stats.demog_std,
+                                fixed_demog))
+            for t in cohort.trajectories],
+        provenance=cohort.provenance, stats=stats)
 
 
 def znormalize(cohort: Cohort, stats: NormStats) -> Cohort:
@@ -383,48 +398,25 @@ def znormalize(cohort: Cohort, stats: NormStats) -> Cohort:
     Constant features (std below 1e-12) pass through untouched; action ids
     and acuity scores are never scaled.
     """
-    demog_mask = DEMOG_CONTINUOUS & ~stats.constant_demog
-    out = []
-    for t in cohort.trajectories:
-        demog = t.demog.copy()
-        demog[demog_mask] = (
-            (t.demog[demog_mask] - stats.demog_mean[demog_mask])
-            / stats.demog_std[demog_mask]
-        )
-        out.append(Trajectory(
-            patient_id=t.patient_id,
-            obs=_scale(t.obs, stats.obs_mean, stats.obs_std, stats.constant_obs),
-            demog=demog,
-            actions=t.actions,
-            sofa=t.sofa,
-            saps2=t.saps2,
-            oasis=t.oasis,
-            outcome=t.outcome,
-        ))
-    return Cohort(trajectories=out, provenance=cohort.provenance, stats=stats)
+    return _rescale(cohort, stats, inverse=False)
 
 
 def denormalize(cohort: Cohort, stats: NormStats) -> Cohort:
-    demog_mask = DEMOG_CONTINUOUS & ~stats.constant_demog
-    out = []
-    for t in cohort.trajectories:
-        demog = t.demog.copy()
-        demog[demog_mask] = (
-            t.demog[demog_mask] * stats.demog_std[demog_mask]
-            + stats.demog_mean[demog_mask]
-        )
-        out.append(Trajectory(
-            patient_id=t.patient_id,
-            obs=_scale(t.obs, stats.obs_mean, stats.obs_std, stats.constant_obs,
-                       inverse=True),
-            demog=demog,
-            actions=t.actions,
-            sofa=t.sofa,
-            saps2=t.saps2,
-            oasis=t.oasis,
-            outcome=t.outcome,
-        ))
-    return Cohort(trajectories=out, provenance=cohort.provenance, stats=stats)
+    """Undo ``znormalize(cohort, stats)``."""
+    return _rescale(cohort, stats, inverse=True)
+
+
+def normalized_splits(
+    cohort: Cohort, spec: SplitSpec, stats: NormStats | None = None,
+) -> tuple[list[Trajectory], list[Trajectory], list[Trajectory], NormStats]:
+    """The train/val/test trajectories of ``stratified_split(cohort, spec)``,
+    each z-scored with ``stats``, and those stats. Without ``stats``, they
+    are the training split's own."""
+    splits = stratified_split(cohort, spec)
+    if stats is None:
+        stats = compute_norm_stats(splits[0])
+    train, val, test = (znormalize(split, stats).trajectories for split in splits)
+    return train, val, test, stats
 
 
 # -- surrogate acuity scores ------------------------------------------------------------------
@@ -446,8 +438,10 @@ def surrogate_acuity(
     demog: np.ndarray,
     ref_mean: np.ndarray | None = None,
     ref_std: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """Severity scores from abnormal-feature magnitudes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Severity scores from abnormal-feature magnitudes, for any number of
+    rows: ``obs`` (..., 33) and ``demog`` (..., 5) give sofa, saps2 and oasis
+    of shape (...).
 
     Each feature contributes max(0, |z| - 1) where z is its deviation from
     the reference population in standard-deviation units; the saps2/oasis
@@ -457,8 +451,15 @@ def surrogate_acuity(
     obs = np.asarray(obs, dtype=np.float64)
     z = obs if ref_mean is None else (obs - ref_mean) / ref_std
     excess = np.maximum(np.abs(z) - 1.0, 0.0)
-    age_excess = max(float(demog[0]) - _AGE_KNEE, 0.0)
-    sofa = float(excess[SOFA_GROUP].sum())
-    saps2 = float(excess[SAPS2_GROUP].sum()) + SAPS2_AGE_WEIGHT * age_excess
-    oasis = float(excess[OASIS_GROUP].sum()) + OASIS_AGE_WEIGHT * age_excess
+    age = np.asarray(demog, dtype=np.float64)[..., 0]
+    age_excess = np.maximum(age - _AGE_KNEE, 0.0)
+
+    # np.take keeps each row's features contiguous, so a block's row sums
+    # are bit-identical to the sums of its rows one at a time
+    def panel(group):
+        return np.take(excess, group, axis=-1).sum(axis=-1)
+
+    sofa = panel(SOFA_GROUP)
+    saps2 = panel(SAPS2_GROUP) + SAPS2_AGE_WEIGHT * age_excess
+    oasis = panel(OASIS_GROUP) + OASIS_AGE_WEIGHT * age_excess
     return sofa, saps2, oasis

@@ -172,41 +172,30 @@ def generate_synthetic(
         if not active.any():
             break
 
+    # every array below holds one row per real step, patients in order
+    step_mask = np.arange(t_max) < lengths[:, None]
     # bin the pooled realized doses into quintiles, one axis per drug
-    step_mask = np.zeros((n_patients, t_max), dtype=bool)
-    for i in range(n_patients):
-        step_mask[i, :lengths[i]] = True
-    v_bins = np.zeros((n_patients, t_max), dtype=int)
-    f_bins = np.zeros((n_patients, t_max), dtype=int)
-    v_bins[step_mask] = _quintile_bins(vaso_dose[step_mask])
-    f_bins[step_mask] = _quintile_bins(fluid_dose[step_mask])
+    actions = encode_action(_quintile_bins(vaso_dose[step_mask]),
+                            _quintile_bins(fluid_dose[step_mask]))
+    eps = rng.normal(size=(int(lengths.sum()), N_OBS))
+    obs = slope * health[step_mask][:, None] + offset + emit_noise * eps
 
     # emission reference used for the surrogate scores
     ref_mean = slope * cfg.init_health_mean + offset
     ref_std = np.sqrt((slope * 0.25) ** 2 + emit_noise**2)
+    scores = surrogate_acuity(obs, np.repeat(demog, lengths, axis=0),
+                              ref_mean, ref_std)
 
-    trajectories = []
-    for i in range(n_patients):
-        t_i = lengths[i]
-        eps = rng.normal(size=(t_i, N_OBS))
-        obs = slope * health[i, :t_i, None] + offset + emit_noise * eps
-        actions = np.array(
-            [encode_action(v_bins[i, t], f_bins[i, t]) for t in range(t_i)],
-            dtype=np.int64,
-        )
-        scores = np.array(
-            [surrogate_acuity(obs[t], demog[i], ref_mean, ref_std) for t in range(t_i)]
-        )
-        trajectories.append(Trajectory(
-            patient_id=f"syn{i:06d}",
-            obs=obs,
-            demog=demog[i].copy(),
-            actions=actions,
-            sofa=scores[:, 0],
-            saps2=scores[:, 1],
-            oasis=scores[:, 2],
-            outcome=int(died[i]),
-        ))
+    cuts = np.cumsum(lengths)[:-1]
+    trajectories = list(map(
+        Trajectory,
+        map("syn{:06d}".format, range(n_patients)),
+        np.split(obs, cuts),
+        demog,
+        np.split(actions, cuts),
+        *(np.split(score, cuts) for score in scores),
+        died.astype(int).tolist(),
+    ))
 
     cohort = Cohort(trajectories=trajectories, provenance=f"synthetic(seed={seed})")
     cohort.validate(cfg.max_steps)

@@ -106,6 +106,18 @@ def test_corrupt_cohort_is_data_error(tmp_path):
     assert code == 3
 
 
+def test_corrupt_cohort_sidecar_is_data_error(tmp_path, cohort_csv, capsys):
+    csv = tmp_path / "cohort.csv"
+    csv.write_bytes(cohort_csv.read_bytes())
+    (tmp_path / "cohort.csv.meta.json").write_text("{bad")
+    code = main(["train-encoder", "--cohort", str(csv), "--kind", "ae",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cohort.csv.meta.json: not valid JSON" in err
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, cohort_csv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 2, "d_s": 4, "seed": 9}))
@@ -206,6 +218,21 @@ def test_analyze_missing_run_dir_refused(tmp_path, cohort_csv):
     code = main(["analyze", "--runs", str(tmp_path / "ghost"),
                  "--cohort", str(cohort_csv), "--out", str(tmp_path / "a")])
     assert code == 3
+
+
+def test_analyze_runs_sharing_a_base_name_refused(tmp_path, cohort_csv,
+                                                  encoder_run, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = _copy_run(encoder_run, tmp_path / "a" / "enc")
+    second = _copy_run(encoder_run, tmp_path / "b" / "enc")
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--runs", str(first), str(second),
+                 "--cohort", str(cohort_csv), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--runs {first} and {second} share the base name 'enc'" in err
+    assert not out.exists()
 
 
 def test_train_policy_missing_encoder_is_data_error(tmp_path, cohort_csv):
@@ -340,6 +367,16 @@ def test_manifest_missing_key_is_data_error(tmp_path, cohort_csv, encoder_run,
     (["sweep"], {"split_seed": -1}, 2, False),
     (["gen-data", "--mortality", "1.5"], None, 2, False),
     (["gen-data", "--mortality", "-0.5"], None, 2, False),
+    (["train-encoder", "--lr", "nan"], None, 2, True),
+    (["train-encoder", "--lr", "-0.001"], None, 2, True),
+    (["train-encoder", "--lr", "0"], None, 2, True),
+    (["train-encoder", "--reg", "--lambda-scale", "-5"], None, 2, True),
+    (["train-encoder", "--lambda-scale", "inf"], None, 2, True),
+    (["train-policy", "--lr", "-1"], None, 2, True),
+    (["train-policy", "--lr", "nan"], None, 2, True),
+    (["train-encoder"], {"lr": -0.001}, 2, False),
+    (["train-encoder"], {"lambda_scale": "nan"}, 2, False),
+    (["train-policy"], {"lr": 0}, 2, False),
 ])
 def test_bad_values_exit_with_their_code(tmp_path, cohort_csv, encoder_run,
                                          capsys, argv, config, code,

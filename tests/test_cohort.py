@@ -11,8 +11,9 @@ from seqstate.cohort import (ActionRangeError, Cohort, CohortError, CSV_HEADER,
                              DuplicateStepError, MissingColumnError,
                              NonFiniteValueError, SplitSpec, Trajectory,
                              compute_norm_stats, decode_action, denormalize,
-                             encode_action, load_cohort, save_cohort,
-                             stratified_split, surrogate_acuity, znormalize)
+                             encode_action, load_cohort, normalized_splits,
+                             save_cohort, stratified_split, surrogate_acuity,
+                             znormalize)
 from seqstate.synthetic import generate_synthetic
 
 
@@ -27,6 +28,9 @@ def test_action_corner_cases():
     assert encode_action(0, 0) == 0
     assert encode_action(4, 4) == 24
     assert encode_action(1, 0) == 5  # vasopressor-major ordering
+    np.testing.assert_array_equal(
+        encode_action(np.array([0, 4, 1, 2]), np.array([0, 4, 0, 3])),
+        [0, 24, 5, 13])
 
 
 def test_action_bijection_exhaustive():
@@ -44,6 +48,8 @@ def test_action_range_errors():
         encode_action(5, 0)
     with pytest.raises(ValueError):
         encode_action(0, -1)
+    with pytest.raises(ValueError, match="bins out of range"):
+        encode_action(np.array([0, 4]), np.array([2, 5]))
     with pytest.raises(ValueError):
         decode_action(25)
 
@@ -241,6 +247,23 @@ def test_normalization_invertible():
         assert np.abs(a.demog - b.demog).max() < 1e-12
 
 
+def test_normalized_splits_z_score_with_the_training_stats():
+    cohort = _tiny_cohort(100, seed=12)
+    spec = SplitSpec(seed=0)
+    splits = stratified_split(cohort, spec)
+    train_stats = compute_norm_stats(splits[0])
+    other_stats = compute_norm_stats(cohort)
+    for given, used in ((None, train_stats), (other_stats, other_stats)):
+        *got, stats = normalized_splits(cohort, spec, given)
+        assert stats.to_dict() == used.to_dict()
+        for split, trajs in zip(splits, got):
+            want = znormalize(split, used).trajectories
+            assert [t.patient_id for t in trajs] == split.patient_ids()
+            for a, b in zip(trajs, want):
+                assert np.array_equal(a.obs, b.obs)
+                assert np.array_equal(a.demog, b.demog)
+
+
 def test_train_stats_on_other_split_finite():
     cohort = _tiny_cohort(100, seed=12)
     train, _val, test = stratified_split(cohort, SplitSpec(seed=0))
@@ -290,6 +313,20 @@ def test_surrogate_matches_duplicate_implementation():
         got = surrogate_acuity(z, demog)
         want = _surrogate_oracle(z, demog[0])
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_surrogate_block_equals_its_rows():
+    # a (T, 33) block scores bit for bit like its rows one at a time
+    rng = np.random.default_rng(15)
+    mean = rng.normal(size=33)
+    std = rng.uniform(0.5, 2.0, size=33)
+    obs = mean + 3.0 * std * rng.normal(size=(17, 33))
+    demog = np.column_stack([rng.uniform(18, 95, 17), np.zeros((17, 4))])
+    for ref in ((), (mean, std)):
+        block = surrogate_acuity(obs, demog, *ref)
+        rows = [surrogate_acuity(o, d, *ref) for o, d in zip(obs, demog)]
+        assert all(score.shape == (17,) for score in block)
+        np.testing.assert_array_equal(np.column_stack(block), np.array(rows))
 
 
 def test_surrogate_reference_stats_path():
