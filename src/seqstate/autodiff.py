@@ -6,6 +6,11 @@ produced it (parent tensors plus a backward closure). Calling
 reverse topological order exactly once, accumulating gradients additively
 at fan-out points.
 
+Index a Tensor with ``t[...]`` (``getitem``), the engine's one indexing
+primitive: a basic slice accumulates its gradient in place, an
+integer-array index through ``np.add.at``, so repeated rows sum. A module
+with a hand-written backward builds its one node with ``make_op``.
+
 All arithmetic is 64-bit; non-finite values appearing in a forward pass
 are treated as an error state by the training code, not silently kept.
 """
@@ -19,16 +24,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor",
-    "no_grad",
-    "is_grad_enabled",
-    "make_op",
-    "add",
-    "mul",
-    "matmul",
-    "concat",
-    "grad_check",
-    "GradCheckError",
+    "Tensor", "no_grad", "is_grad_enabled", "make_op",
+    "add", "sub", "neg", "mul", "div", "matmul",
+    "sqrt", "tanh", "sigmoid", "relu", "elu",
+    "tsum", "tmean", "reshape", "transpose", "getitem", "concat", "log_softmax",
+    "grad_check", "GradCheckError",
 ]
 
 # per-thread so that inference on shared parameter bundles stays safe
@@ -50,18 +50,13 @@ def is_grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A float64 array plus its reverse-mode operation record."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -74,27 +69,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- graph machinery -----------------------------------------------------
 
@@ -117,7 +96,7 @@ class Tensor:
                 raise ValueError("backward() without gradient requires a scalar output")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad)
+            grad = np.asarray(grad, dtype=np.float64)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -144,54 +123,17 @@ class Tensor:
                 node.grad = None
 
     # -- operator sugar --------------------------------------------------------
+    # ``+`` and ``*`` let odesolve.rk4_solve step numpy arrays and Tensors
+    # alike; ``t[...]`` is the engine's one indexing primitive.
 
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, index):
         return getitem(self, index)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _lift(value) -> Tensor:
@@ -295,19 +237,6 @@ def div(a, b) -> Tensor:
     return make_op(out_data, (a, b), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = _lift(a)
-    if isinstance(exponent, Tensor):
-        raise TypeError("only constant exponents are supported")
-    out_data = a.data**exponent
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1))
-
-    return make_op(out_data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out_data = np.matmul(a.data, b.data)
@@ -324,25 +253,6 @@ def matmul(a, b) -> Tensor:
 
 
 # -- elementwise nonlinearities -------------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return make_op(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return make_op(np.log(a.data), (a,), backward)
 
 
 def sqrt(a) -> Tensor:
@@ -404,11 +314,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        g = np.asarray(g)
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
@@ -421,18 +327,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
-def cumsum(a, axis: int) -> Tensor:
-    a = _lift(a)
-    out_data = np.cumsum(a.data, axis=axis)
-
-    def backward(g):
-        # adjoint of cumsum is reversed cumsum along the same axis
-        flipped = np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
-        a._accumulate(flipped)
-
-    return make_op(out_data, (a,), backward)
 
 
 def reshape(a, shape: tuple) -> Tensor:
@@ -449,11 +343,7 @@ def transpose(a, axes=None) -> Tensor:
     out_data = np.transpose(a.data, axes)
 
     def backward(g):
-        if axes is None:
-            a._accumulate(np.transpose(g))
-        else:
-            inverse = np.argsort(axes)
-            a._accumulate(np.transpose(g, inverse))
+        a._accumulate(np.transpose(g, None if axes is None else np.argsort(axes)))
 
     return make_op(out_data, (a,), backward)
 
@@ -481,19 +371,6 @@ def getitem(a, index) -> Tensor:
     return make_op(out_data, (a,), backward)
 
 
-def time_slice(a, t: int) -> Tensor:
-    """Row t of the time axis of (B, T, C); gradient accumulates in place."""
-    a = _lift(a)
-    out_data = np.ascontiguousarray(a.data[:, t, :])
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, t, :] += g
-
-    return make_op(out_data, (a,), backward)
-
-
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     parts = [_lift(t) for t in tensors]
     out_data = np.concatenate([p.data for p in parts], axis=axis)
@@ -508,35 +385,6 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
                 part._accumulate(g[tuple(idx)])
 
     return make_op(out_data, parts, backward)
-
-
-def gather_rows(a, idx) -> Tensor:
-    """Select rows ``a[idx]`` along axis 0 (``idx`` is an integer array)."""
-    a = _lift(a)
-    idx = np.asarray(idx)
-    out_data = a.data[idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        a._accumulate(full)
-
-    return make_op(out_data, (a,), backward)
-
-
-def take_columns(a, idx) -> Tensor:
-    """Pick one column per row: ``out[i] = a[i, idx[i]]``."""
-    a = _lift(a)
-    idx = np.asarray(idx)
-    rows = np.arange(a.data.shape[0])
-    out_data = a.data[rows, idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)
-        a._accumulate(full)
-
-    return make_op(out_data, (a,), backward)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:

@@ -34,11 +34,9 @@ from .policy import (BCConfig, BCQConfig, behavior_clone, build_buffer,
 from .runio import (DataError, load_encoder_run, read_json, save_encoder_run,
                     save_policy_run, write_csv, write_json)
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import (REFERENCE_EPOCHS, TrainingDiverged, default_train_config,
-                       train_encoder)
+from .training import (DESK_EPOCHS, DESK_SUBSTEPS, REFERENCE_EPOCHS, TrainingDiverged,
+                       default_train_config, train_encoder)
 
-DESK_EPOCHS = 50
-DESK_SUBSTEPS = 1
 DESK_POLICY_ITERATIONS = 20_000
 
 

@@ -5,8 +5,8 @@ CSV schema (exact header, one row per (patient, step), UTF-8, '.' decimal):
     patient_id,step,action_id,outcome,sofa,saps2,oasis,demog_0,...,demog_4,obs_0,...,obs_32
 
 ``outcome`` is 0 (survived) or 1 (died), repeated on every row of a
-trajectory. A JSON sidecar ``<csv path>.meta.json`` carries provenance and,
-when available, normalization statistics.
+trajectory. A JSON sidecar ``<csv path>.meta.json`` carries the provenance
+and the patient count.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class NormStats:
 class Cohort:
     trajectories: list[Trajectory]
     provenance: str = "unknown"
-    stats: NormStats | None = None
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -203,7 +202,6 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
     sidecar = {
         "provenance": cohort.provenance,
         "n_patients": len(cohort),
-        "normalization": cohort.stats.to_dict() if cohort.stats else None,
     }
     atomic_write_text(str(path) + ".meta.json", json.dumps(sidecar, indent=1))
 
@@ -282,16 +280,12 @@ def load_cohort(path: str | Path, max_steps: int = DEFAULT_MAX_STEPS) -> Cohort:
 
     sidecar_path = Path(str(path) + ".meta.json")
     provenance = f"ingested({path.name})"
-    stats = None
     if sidecar_path.exists():
         from .runio import read_json  # runio imports this module
 
-        meta = read_json(sidecar_path)
-        provenance = meta.get("provenance", provenance)
-        if meta.get("normalization"):
-            stats = NormStats.from_dict(meta["normalization"])
+        provenance = read_json(sidecar_path).get("provenance", provenance)
 
-    cohort = Cohort(trajectories=trajectories, provenance=provenance, stats=stats)
+    cohort = Cohort(trajectories=trajectories, provenance=provenance)
     cohort.validate(max_steps)
     return cohort
 
@@ -345,7 +339,6 @@ def stratified_split(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort, C
         splits.append(Cohort(
             trajectories=[cohort.trajectories[i] for i in members],
             provenance=cohort.provenance,
-            stats=cohort.stats,
         ))
     return splits[0], splits[1], splits[2]
 
@@ -389,7 +382,7 @@ def _rescale(cohort: Cohort, stats: NormStats, inverse: bool) -> Cohort:
                     demog=scale(t.demog, stats.demog_mean, stats.demog_std,
                                 fixed_demog))
             for t in cohort.trajectories],
-        provenance=cohort.provenance, stats=stats)
+        provenance=cohort.provenance)
 
 
 def znormalize(cohort: Cohort, stats: NormStats) -> Cohort:

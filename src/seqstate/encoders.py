@@ -260,7 +260,32 @@ class ForwardOut:
     aux_ce: Tensor | None = None  # extra objective term (inverse model)
 
 
-def _encode_rnn_family(model: EncoderModel, batch: Batch) -> Tensor:
+def _decode(model: EncoderModel, latents: Tensor, a_curr: np.ndarray) -> Tensor:
+    """Next-observation predictions (B, T, 33) from the (B, T, d_s) latents.
+
+    The signature decoder reads the whole latent stream; the others are
+    pointwise, and the AE/AIS decoders also read ``a_curr`` (B, T, 25), the
+    one-hot of the current action.
+    """
+    p = model.params
+    if model.kind == "dst":
+        conv = ad.relu(nn.dense(latents, p["dec.c1.w"], p["dec.c1.b"]))
+        conv = ad.relu(nn.dense(conv, p["dec.c2.w"], p["dec.c2.b"]))
+        hid = ad.relu(sig2_linear(conv, p["dec.l1.w"], p["dec.l1.b"]))
+        return nn.dense(hid, p["dec.l2.w"], p["dec.l2.b"])
+    if model.kind in ("ae", "ais"):
+        latents = ad.concat([latents, Tensor(a_curr)], axis=2)
+    return nn.mlp(latents, p, "dec", _ELU3 if model.kind == "ddm" else _RELU3)
+
+
+def _forward_ae(model: EncoderModel, batch: Batch) -> ForwardOut:
+    inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
+    latents = nn.mlp(inp, model.params, "enc", _RELU3)
+    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
+
+
+def _forward_rnn(model: EncoderModel, batch: Batch) -> ForwardOut:
+    """The rnn and ais forward; they differ only in their decoder."""
     p = model.params
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
     u = nn.mlp(inp, p, "enc", (ad.relu, ad.relu))
@@ -270,31 +295,10 @@ def _encode_rnn_family(model: EncoderModel, batch: Batch) -> Tensor:
     h = Tensor(np.zeros((bsz, model.d_s)))
     rows = []
     for t in range(t_max):
-        h = nn.gru_cell(ad.time_slice(u, t), h, gp)
+        h = nn.gru_cell(u[:, t], h, gp)
         rows.append(h)
-    return _stack_time(rows)
-
-
-def _forward_ae(model: EncoderModel, batch: Batch) -> ForwardOut:
-    p = model.params
-    inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    latents = nn.mlp(inp, p, "enc", _RELU3)
-    dec_in = ad.concat([latents, Tensor(batch.a_curr)], axis=2)
-    preds = nn.mlp(dec_in, p, "dec", _RELU3)
-    return ForwardOut(latents, preds)
-
-
-def _forward_rnn(model: EncoderModel, batch: Batch) -> ForwardOut:
-    latents = _encode_rnn_family(model, batch)
-    preds = nn.mlp(latents, model.params, "dec", _RELU3)
-    return ForwardOut(latents, preds)
-
-
-def _forward_ais(model: EncoderModel, batch: Batch) -> ForwardOut:
-    latents = _encode_rnn_family(model, batch)
-    dec_in = ad.concat([latents, Tensor(batch.a_curr)], axis=2)
-    preds = nn.mlp(dec_in, model.params, "dec", _RELU3)
-    return ForwardOut(latents, preds)
+    latents = _stack_time(rows)
+    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
 
 
 def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
@@ -310,19 +314,18 @@ def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
     c = Tensor(np.zeros((bsz, d_s)))
     rows = []
     for t in range(t_max):
-        h, c = nn.lstm_cell(ad.time_slice(u, t), h, c, lp)
+        h, c = nn.lstm_cell(u[:, t], h, c, lp)
         rows.append(ad.tanh(h))  # mean head; the cell state carries the spread
     latents = _stack_time(rows)
-    preds = nn.mlp(latents, p, "dec", _ELU3)
+    preds = _decode(model, latents, batch.a_curr)
 
     # inverse model: recover A_t from consecutive observation embeddings
     pair_idx = np.flatnonzero(batch.pair_mask.reshape(-1))
     if pair_idx.size == 0:
         return ForwardOut(latents, preds)
     z_flat = ad.reshape(z, (bsz * t_max, d_s))
-    z_t = ad.gather_rows(z_flat, pair_idx)
-    z_t1 = ad.gather_rows(z_flat, pair_idx + 1)
-    logits = nn.mlp(ad.concat([z_t, z_t1], axis=1), p, "inv", (ad.elu, None))
+    logits = nn.mlp(ad.concat([z_flat[pair_idx], z_flat[pair_idx + 1]], axis=1),
+                    p, "inv", (ad.elu, None))
     labels = batch.a_ids.reshape(-1)[pair_idx]
     aux = nn.softmax_cross_entropy(logits, labels)
     return ForwardOut(latents, preds, aux_ce=aux)
@@ -344,21 +347,13 @@ def _forward_dst(model: EncoderModel, batch: Batch) -> ForwardOut:
     h2 = Tensor(np.zeros((bsz, hidden)))
     rows = []
     for t in range(t_max):
-        h1 = nn.gru_step(ad.time_slice(gi1, t), h1, g1)
+        h1 = nn.gru_step(gi1[:, t], h1, g1)
         h2 = nn.gru_cell(h1, h2, g2)
         rows.append(h2)
     latents = _stack_time(rows)
     if "enc.head.w" in p:
         latents = nn.dense(latents, p["enc.head.w"], p["enc.head.b"])
-    return ForwardOut(latents, _dst_decode(p, latents))
-
-
-def _dst_decode(p: nn.Params, latents: Tensor) -> Tensor:
-    """Next-observation predictions from the (B, T, d_s) latent stream."""
-    conv = ad.relu(nn.dense(latents, p["dec.c1.w"], p["dec.c1.b"]))
-    conv = ad.relu(nn.dense(conv, p["dec.c2.w"], p["dec.c2.b"]))
-    hid = ad.relu(sig2_linear(conv, p["dec.l1.w"], p["dec.l1.b"]))
-    return nn.dense(hid, p["dec.l2.w"], p["dec.l2.b"])
+    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
 
 
 def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
@@ -378,11 +373,10 @@ def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
     for t in range(t_max):
         if t > 0:
             h = rk4_solve(vector_field, h, float(t - 1), float(t), substeps)
-        h = nn.gru_cell(ad.time_slice(u, t), h, gp)
+        h = nn.gru_cell(u[:, t], h, gp)
         rows.append(nn.dense(h, p["enc.head.w"], p["enc.head.b"]))
     latents = _stack_time(rows)
-    preds = nn.mlp(latents, p, "dec", _RELU3)
-    return ForwardOut(latents, preds)
+    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
 
 
 def cde_path_values(batch: Batch) -> np.ndarray:
@@ -452,14 +446,13 @@ def _forward_cde(model: EncoderModel, batch: Batch) -> ForwardOut:
         z = rk4_solve(cde_field, z, float(t - 1), float(t), substeps)
         rows.append(z)
     latents = _stack_time(rows)
-    preds = nn.mlp(latents, p, "dec", _RELU3)
-    return ForwardOut(latents, preds)
+    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
 
 
 _FORWARDS = {
     "ae": _forward_ae,
     "rnn": _forward_rnn,
-    "ais": _forward_ais,
+    "ais": _forward_rnn,
     "ddm": _forward_ddm,
     "dst": _forward_dst,
     "ode": _forward_ode,
@@ -524,27 +517,21 @@ def encode_trajectory(model: EncoderModel, traj: Trajectory) -> LatentSequence:
 
 
 def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) -> np.ndarray:
-    """Decode the next-observation prediction from a latent state.
+    """Decode the prediction of the observation after the last of the latent
+    rows ``latent``, a (k, d_s) prefix or one (d_s,) row, when the action
+    taken at that step is ``action_id``.
 
-    ``latent`` is the d_s row for the current step; the signature decoder
-    instead accepts the (k, d_s) latent prefix and predicts from its last
-    row. ``action_id`` reaches only the decoders that consume it.
+    The signature decoder reads the whole prefix, the pointwise decoders
+    only its last row. ``action_id`` reaches only the decoders that
+    consume it.
     """
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.ndim == 1:
-        latent = latent[None, :]
+    latent = np.atleast_2d(np.asarray(latent, dtype=np.float64))
     if latent.shape[-1] != model.d_s:
         raise ValueError(f"latent width {latent.shape[-1]} != d_s {model.d_s}")
-    p = model.params
-    row = latent[-1:]
-    if model.kind in ("ae", "ais"):
-        onehot = np.zeros((1, N_ACTIONS))
-        onehot[0, action_id] = 1.0
-        row = np.concatenate([row, onehot], axis=1)
+    if model.kind != "dst":
+        latent = latent[-1:]
+    a_curr = np.zeros((1, latent.shape[0], N_ACTIONS))
+    a_curr[0, -1, action_id] = 1.0
     with ad.no_grad():
-        if model.kind == "dst":  # dst decodes the latent stream
-            pred = _dst_decode(p, Tensor(latent[None, :, :]))[:, -1, :]
-        else:
-            pred = nn.mlp(Tensor(row), p, "dec", _ELU3 if model.kind == "ddm" else _RELU3)
-    out = pred.data.reshape(-1)[:N_OBS]
-    return out.copy()
+        pred = _decode(model, Tensor(latent[None]), a_curr)
+    return pred.data[0, -1].copy()

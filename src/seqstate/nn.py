@@ -244,5 +244,5 @@ def column_pearson(x: Tensor, y) -> tuple[Tensor, np.ndarray]:
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer ``labels`` under row-wise softmax."""
     logp = ad.log_softmax(logits, axis=-1)
-    picked = ad.take_columns(logp, labels)
+    picked = logp[np.arange(len(labels)), labels]
     return ad.neg(ad.tmean(picked))

@@ -256,7 +256,7 @@ def train_bcq(buffer: TransitionBuffer, config: BCQConfig | None = None,
         y = r + config.gamma * (1.0 - done.astype(float)) * _q_target_values(policy, s2)
         params.zero_grad()
         q_all = nn.mlp(Tensor(s), params, "q", _Q_ACTS)
-        q_sa = ad.take_columns(q_all, a)
+        q_sa = q_all[np.arange(len(a)), a]
         q_loss = nn.mse(q_sa, Tensor(y))
         f_logits = nn.mlp(Tensor(s), params, "f", _Q_ACTS)
         f_loss = nn.softmax_cross_entropy(f_logits, a)

@@ -36,6 +36,10 @@ REFERENCE_LR = {"rnn": 1e-4, "ais": 5e-4, "ae": 5e-4,
 DDM_LR_BY_DS = {4: 1e-3, 8: 1e-4, 16: 1e-4, 32: 5e-4,
                 64: 1e-4, 128: 1e-4, 256: 1e-4}
 
+# the desk schedule: few epochs, one solver substep per bin
+DESK_EPOCHS = 50
+DESK_SUBSTEPS = 1
+
 SCORE_NAMES = ("sofa", "saps2", "oasis")
 
 
@@ -73,11 +77,12 @@ def default_train_config(kind: str, d_s: int, **overrides) -> TrainConfig:
     return cfg
 
 
-def desk_train_config(kind: str, d_s: int, epochs: int = 50, **overrides) -> TrainConfig:
+def desk_train_config(kind: str, d_s: int, epochs: int = DESK_EPOCHS,
+                      **overrides) -> TrainConfig:
     """Desk-scale schedule: capped epochs, single solver substep per bin."""
     cfg = default_train_config(kind, d_s)
     cfg.epochs = epochs
-    cfg.solver_substeps = 1
+    cfg.solver_substeps = DESK_SUBSTEPS
     for k, v in overrides.items():
         setattr(cfg, k, v)
     return cfg
@@ -89,13 +94,6 @@ class EpochRecord:
     train_mse: float
     val_mse: float
     rho: dict[str, float] = field(default_factory=dict)
-
-    def as_row(self) -> dict:
-        row = {"epoch": self.epoch, "train_mse": self.train_mse,
-               "val_mse": self.val_mse}
-        for name in SCORE_NAMES:
-            row[f"rho_{name}"] = self.rho.get(name, float("nan"))
-        return row
 
 
 @dataclass
@@ -121,8 +119,7 @@ def _batch_rho(latents: Tensor, batch: Batch) -> dict[str, Tensor]:
     valid = np.flatnonzero(batch.mask.reshape(-1))
     if valid.size < 2:
         return {}
-    flat = ad.reshape(latents, (bsz * t_max, latents.shape[2]))
-    rows = ad.gather_rows(flat, valid)
+    rows = ad.reshape(latents, (bsz * t_max, latents.shape[2]))[valid]
     out = {}
     for k, name in enumerate(SCORE_NAMES):
         score = batch.scores[:, :, k].reshape(-1)[valid]

@@ -31,6 +31,8 @@ def test_gen_data_round_trips(cohort_csv):
     cohort = load_cohort(cohort_csv)
     assert len(cohort) == 120
     assert cohort.provenance == "synthetic(seed=0)"
+    sidecar = read_json(str(cohort_csv) + ".meta.json")
+    assert sidecar == {"provenance": "synthetic(seed=0)", "n_patients": 120}
     rows = cohort_csv.read_text().splitlines()
     assert len(rows) == 1 + sum(t.n_steps for t in cohort.trajectories)
 
@@ -116,6 +118,18 @@ def test_corrupt_cohort_sidecar_is_data_error(tmp_path, cohort_csv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "cohort.csv.meta.json: not valid JSON" in err
+
+
+def test_sidecar_normalization_key_is_ignored(tmp_path, cohort_csv):
+    # older sidecars carried a normalization object; nothing reads it now
+    csv = tmp_path / "cohort.csv"
+    csv.write_bytes(cohort_csv.read_bytes())
+    (tmp_path / "cohort.csv.meta.json").write_text(json.dumps(
+        {"provenance": "ward export", "normalization": {"obs_mean": [1.0]}}))
+    out = tmp_path / "out"
+    assert main(["train-encoder", "--cohort", str(csv), "--kind", "ae",
+                 "--epochs", "1", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["cohort_provenance"] == "ward export"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, cohort_csv):

@@ -31,4 +31,6 @@ def _resolves(target: str) -> bool:
 def test_every_span_target_resolves():
     targets = _span_targets()
     assert targets
+    # bench/layers.py ``install`` also wraps make_op to count graph nodes
+    targets.append("seqstate.autodiff.make_op")
     assert [t for t in targets if not _resolves(t)] == []
