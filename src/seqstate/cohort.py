@@ -226,7 +226,7 @@ def load_cohort(path: str | Path, max_steps: int = DEFAULT_MAX_STEPS) -> Cohort:
             raise CohortError(f"{path}: header does not match schema")
 
         per_patient: dict[str, dict[int, tuple]] = {}
-        order: list[str] = []
+        outcome_of: dict[str, int] = {}
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -250,21 +250,22 @@ def load_cohort(path: str | Path, max_steps: int = DEFAULT_MAX_STEPS) -> Cohort:
                 raise CohortError(f"{path}:{row_no}: outcome must be 0 or 1")
             if pid not in per_patient:
                 per_patient[pid] = {}
-                order.append(pid)
+                outcome_of[pid] = outcome
+            elif outcome != outcome_of[pid]:
+                raise CohortError(f"{path}:{row_no}: outcome {outcome} differs from "
+                                  f"patient {pid}'s earlier rows")
             if step in per_patient[pid]:
                 raise DuplicateStepError(
                     f"{path}:{row_no}: duplicate step {step} for patient {pid}"
                 )
-            per_patient[pid][step] = (action, outcome, values)
+            per_patient[pid][step] = (action, values)
 
     trajectories = []
-    for pid in order:
-        steps = sorted(per_patient[pid].keys())
-        actions, outcomes, rows = [], [], []
-        for s in steps:
-            a, o, v = per_patient[pid][s]
+    for pid, by_step in per_patient.items():
+        actions, rows = [], []
+        for s in sorted(by_step):
+            a, v = by_step[s]
             actions.append(a)
-            outcomes.append(o)
             rows.append(v)
         block = np.stack(rows)
         trajectories.append(Trajectory(
@@ -275,7 +276,7 @@ def load_cohort(path: str | Path, max_steps: int = DEFAULT_MAX_STEPS) -> Cohort:
             sofa=block[:, 0],
             saps2=block[:, 1],
             oasis=block[:, 2],
-            outcome=int(outcomes[0]),
+            outcome=outcome_of[pid],
         ))
 
     sidecar_path = Path(str(path) + ".meta.json")

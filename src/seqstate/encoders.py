@@ -289,13 +289,11 @@ def _forward_rnn(model: EncoderModel, batch: Batch) -> ForwardOut:
     p = model.params
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
     u = nn.mlp(inp, p, "enc", (ad.relu, ad.relu))
-    gp = nn.GRUParams(p["enc.gru.w_ih"], p["enc.gru.w_hh"],
-                      p["enc.gru.b_ih"], p["enc.gru.b_hh"])
     bsz, t_max = batch.shape
     h = Tensor(np.zeros((bsz, model.d_s)))
     rows = []
     for t in range(t_max):
-        h = nn.gru_cell(u[:, t], h, gp)
+        h = nn.gru_cell(u[:, t], h, p, "enc.gru")
         rows.append(h)
     latents = _stack_time(rows)
     return ForwardOut(latents, _decode(model, latents, batch.a_curr))
@@ -308,13 +306,11 @@ def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
     z = nn.mlp(Tensor(batch.x), p, "enc", (ad.elu, ad.elu, ad.tanh))
     a_emb = nn.mlp(Tensor(batch.a_curr), p, "act", (ad.elu, None))
     u = nn.dense(ad.concat([z, a_emb], axis=2), p["fuse.l.w"], p["fuse.l.b"])
-    lp = nn.LSTMParams(p["dyn.lstm.w_ih"], p["dyn.lstm.w_hh"],
-                       p["dyn.lstm.b_ih"], p["dyn.lstm.b_hh"])
     h = Tensor(np.zeros((bsz, d_s)))
     c = Tensor(np.zeros((bsz, d_s)))
     rows = []
     for t in range(t_max):
-        h, c = nn.lstm_cell(u[:, t], h, c, lp)
+        h, c = nn.lstm_cell(u[:, t], h, c, p, "dyn.lstm")
         rows.append(ad.tanh(h))  # mean head; the cell state carries the spread
     latents = _stack_time(rows)
     preds = _decode(model, latents, batch.a_curr)
@@ -338,17 +334,13 @@ def _forward_dst(model: EncoderModel, batch: Batch) -> ForwardOut:
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
     aug = nn.mlp(inp, p, "aug", (ad.relu, None))
     stream = ad.concat([inp, aug], axis=2)
-    g1 = nn.GRUParams(p["enc.gru1.w_ih"], p["enc.gru1.w_hh"],
-                      p["enc.gru1.b_ih"], p["enc.gru1.b_hh"])
-    g2 = nn.GRUParams(p["enc.gru2.w_ih"], p["enc.gru2.w_hh"],
-                      p["enc.gru2.b_ih"], p["enc.gru2.b_hh"])
-    gi1 = sig2_linear(stream, g1.w_ih, g1.b_ih)  # (B, T, 3H)
+    gi1 = sig2_linear(stream, p["enc.gru1.w_ih"], p["enc.gru1.b_ih"])  # (B, T, 3H)
     h1 = Tensor(np.zeros((bsz, hidden)))
     h2 = Tensor(np.zeros((bsz, hidden)))
     rows = []
     for t in range(t_max):
-        h1 = nn.gru_step(gi1[:, t], h1, g1)
-        h2 = nn.gru_cell(h1, h2, g2)
+        h1 = nn.gru_step(gi1[:, t], h1, p, "enc.gru1")
+        h2 = nn.gru_cell(h1, h2, p, "enc.gru2")
         rows.append(h2)
     latents = _stack_time(rows)
     if "enc.head.w" in p:
@@ -362,8 +354,6 @@ def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
     substeps = model.meta.get("substeps", 4)
     inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
     u = nn.mlp(inp, p, "pre", (ad.relu, ad.relu))
-    gp = nn.GRUParams(p["enc.gru.w_ih"], p["enc.gru.w_hh"],
-                      p["enc.gru.b_ih"], p["enc.gru.b_hh"])
 
     def vector_field(_t, state):
         return nn.mlp(state, p, "field", (ad.tanh, None))
@@ -373,7 +363,7 @@ def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
     for t in range(t_max):
         if t > 0:
             h = rk4_solve(vector_field, h, float(t - 1), float(t), substeps)
-        h = nn.gru_cell(u[:, t], h, gp)
+        h = nn.gru_cell(u[:, t], h, p, "enc.gru")
         rows.append(nn.dense(h, p["enc.head.w"], p["enc.head.b"]))
     latents = _stack_time(rows)
     return ForwardOut(latents, _decode(model, latents, batch.a_curr))
@@ -525,6 +515,8 @@ def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) ->
     only its last row. ``action_id`` reaches only the decoders that
     consume it.
     """
+    if not 0 <= action_id < N_ACTIONS:
+        raise ValueError(f"action_id {action_id} outside [0, {N_ACTIONS - 1}]")
     latent = np.atleast_2d(np.asarray(latent, dtype=np.float64))
     if latent.shape[-1] != model.d_s:
         raise ValueError(f"latent width {latent.shape[-1]} != d_s {model.d_s}")

@@ -7,7 +7,6 @@ makes retraining with a fixed seed bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,6 +54,13 @@ class Params:
         return {k: t.data.copy() for k, t in self._entries.items()}
 
     def load(self, state: dict[str, np.ndarray]) -> None:
+        """Copy in ``state``, which must hold exactly this registry's names,
+        each with its registered shape."""
+        missing = [k for k in self._entries if k not in state]
+        extra = [k for k in state if k not in self._entries]
+        if missing or extra:
+            raise ValueError(f"parameter names do not match: missing {missing}, "
+                             f"unexpected {extra}")
         for k, t in self._entries.items():
             src = np.asarray(state[k], dtype=np.float64)
             if src.shape != t.data.shape:
@@ -101,92 +107,75 @@ def mlp(x: Tensor, params, prefix: str, acts: Sequence) -> Tensor:
 # -- recurrent cells ------------------------------------------------------------
 
 
-@dataclass
-class GRUParams:
-    """Gate weights laid out as [reset | update | candidate] blocks."""
-
-    w_ih: Tensor  # (n_in, 3H)
-    w_hh: Tensor  # (H, 3H)
-    b_ih: Tensor  # (3H,)
-    b_hh: Tensor  # (3H,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w_hh.shape[0]
+def _gate_params(params: Params, rng: np.random.Generator, name: str,
+                 n_in: int, hidden: int, gates: int) -> None:
+    width = gates * hidden
+    for key, shape, fan_in in (("w_ih", (n_in, width), n_in),
+                               ("w_hh", (hidden, width), hidden),
+                               ("b_ih", (width,), n_in),
+                               ("b_hh", (width,), hidden)):
+        params.register(f"{name}.{key}", uniform_init(rng, shape, fan_in))
 
 
 def gru_params(params: Params, rng: np.random.Generator, name: str,
-               n_in: int, hidden: int) -> GRUParams:
-    return GRUParams(
-        w_ih=params.register(f"{name}.w_ih", uniform_init(rng, (n_in, 3 * hidden), n_in)),
-        w_hh=params.register(f"{name}.w_hh", uniform_init(rng, (hidden, 3 * hidden), hidden)),
-        b_ih=params.register(f"{name}.b_ih", uniform_init(rng, (3 * hidden,), n_in)),
-        b_hh=params.register(f"{name}.b_hh", uniform_init(rng, (3 * hidden,), hidden)),
-    )
+               n_in: int, hidden: int) -> None:
+    """Register ``{name}.w_ih`` (n_in, 3H), ``.w_hh`` (H, 3H), ``.b_ih`` and
+    ``.b_hh`` (3H,), gates laid out as [reset | update | candidate] blocks."""
+    _gate_params(params, rng, name, n_in, hidden, 3)
 
 
-def gru_cell(x: Tensor, h: Tensor, p: GRUParams) -> Tensor:
-    """One GRU step.
+def gru_cell(x: Tensor, h: Tensor, params, name: str) -> Tensor:
+    """One GRU step with the weights ``{name}.*`` of ``params``, a
+    :class:`Params` or any name -> Tensor mapping.
 
     r = sigmoid(W_r x + U_r h), z = sigmoid(W_z x + U_z h),
     candidate = tanh(W_n x + U_n (r*h)), h' = (1-z)*h + z*candidate.
     """
-    if x.shape[-1] != p.w_ih.shape[0] or h.shape[-1] != p.hidden:
+    w_ih = params[f"{name}.w_ih"]
+    if x.shape[-1] != w_ih.shape[0] or h.shape[-1] != params[f"{name}.w_hh"].shape[0]:
         raise ValueError(
             f"gru_cell dimension mismatch: x {x.shape}, h {h.shape}, "
-            f"w_ih {p.w_ih.shape}"
+            f"w_ih {w_ih.shape}"
         )
-    return gru_step(dense(x, p.w_ih, p.b_ih), h, p)
+    return gru_step(dense(x, w_ih, params[f"{name}.b_ih"]), h, params, name)
 
 
-def gru_step(gi: Tensor, h: Tensor, p: GRUParams) -> Tensor:
+def gru_step(gi: Tensor, h: Tensor, params, name: str) -> Tensor:
     """The recurrent part of :func:`gru_cell`, given its input projection
     ``gi = x @ w_ih + b_ih`` of width 3H."""
-    hidden = p.hidden
+    w_hh, b_hh = params[f"{name}.w_hh"], params[f"{name}.b_hh"]
+    hidden = w_hh.shape[0]
     if gi.shape[-1] != 3 * hidden or h.shape[-1] != hidden:
         raise ValueError(f"gru_step dimension mismatch: gi {gi.shape}, h {h.shape}")
     r = ad.sigmoid(ad.add(gi[..., :hidden],
-                          dense(h, p.w_hh[:, :hidden], p.b_hh[:hidden])))
+                          dense(h, w_hh[:, :hidden], b_hh[:hidden])))
     z = ad.sigmoid(ad.add(gi[..., hidden:2 * hidden],
-                          dense(h, p.w_hh[:, hidden:2 * hidden], p.b_hh[hidden:2 * hidden])))
+                          dense(h, w_hh[:, hidden:2 * hidden], b_hh[hidden:2 * hidden])))
     cand = ad.tanh(ad.add(gi[..., 2 * hidden:],
-                          dense(ad.mul(r, h), p.w_hh[:, 2 * hidden:], p.b_hh[2 * hidden:])))
+                          dense(ad.mul(r, h), w_hh[:, 2 * hidden:], b_hh[2 * hidden:])))
     one_minus_z = ad.add(ad.neg(z), 1.0)
     return ad.add(ad.mul(one_minus_z, h), ad.mul(z, cand))
 
 
-@dataclass
-class LSTMParams:
-    """Gate weights laid out as [input | forget | cell | output] blocks."""
-
-    w_ih: Tensor  # (n_in, 4H)
-    w_hh: Tensor  # (H, 4H)
-    b_ih: Tensor  # (4H,)
-    b_hh: Tensor  # (4H,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w_hh.shape[0]
-
-
 def lstm_params(params: Params, rng: np.random.Generator, name: str,
-                n_in: int, hidden: int) -> LSTMParams:
-    return LSTMParams(
-        w_ih=params.register(f"{name}.w_ih", uniform_init(rng, (n_in, 4 * hidden), n_in)),
-        w_hh=params.register(f"{name}.w_hh", uniform_init(rng, (hidden, 4 * hidden), hidden)),
-        b_ih=params.register(f"{name}.b_ih", uniform_init(rng, (4 * hidden,), n_in)),
-        b_hh=params.register(f"{name}.b_hh", uniform_init(rng, (4 * hidden,), hidden)),
-    )
+                n_in: int, hidden: int) -> None:
+    """Register ``{name}.w_ih`` (n_in, 4H), ``.w_hh`` (H, 4H), ``.b_ih`` and
+    ``.b_hh`` (4H,), gates laid out as [input | forget | cell | output]
+    blocks."""
+    _gate_params(params, rng, name, n_in, hidden, 4)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, p: LSTMParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step; returns (h', c')."""
-    hidden = p.hidden
-    if x.shape[-1] != p.w_ih.shape[0] or h.shape[-1] != hidden or c.shape[-1] != hidden:
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params, name: str) -> tuple[Tensor, Tensor]:
+    """One LSTM step with the weights ``{name}.*`` of ``params``; returns
+    (h', c')."""
+    w_ih, w_hh = params[f"{name}.w_ih"], params[f"{name}.w_hh"]
+    hidden = w_hh.shape[0]
+    if x.shape[-1] != w_ih.shape[0] or h.shape[-1] != hidden or c.shape[-1] != hidden:
         raise ValueError(
             f"lstm_cell dimension mismatch: x {x.shape}, h {h.shape}, c {c.shape}"
         )
-    pre = ad.add(dense(x, p.w_ih, p.b_ih), dense(h, p.w_hh, p.b_hh))
+    pre = ad.add(dense(x, w_ih, params[f"{name}.b_ih"]),
+                 dense(h, w_hh, params[f"{name}.b_hh"]))
     i = ad.sigmoid(pre[..., :hidden])
     f = ad.sigmoid(pre[..., hidden:2 * hidden])
     g = ad.tanh(pre[..., 2 * hidden:3 * hidden])

@@ -30,14 +30,15 @@ def adam_init(params: Params, lr: float) -> AdamState:
     return state
 
 
-def adam_step(state: AdamState, params: Params, grads: dict[str, np.ndarray]) -> Params:
-    """Standard Adam update with bias correction, in place on ``params``."""
+def adam_step(state: AdamState, params: Params) -> None:
+    """Standard Adam update with bias correction, in place on ``params``,
+    from each parameter's ``grad``; a parameter without one is skipped."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for name, t in params.items():
-        g = grads.get(name)
+        g = t.grad
         if g is None:
             continue
         if g.shape != t.data.shape:
@@ -49,23 +50,18 @@ def adam_step(state: AdamState, params: Params, grads: dict[str, np.ndarray]) ->
         v *= b2
         v += (1.0 - b2) * (g * g)
         t.data = t.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+def clip_global_norm(params: Params, max_norm: float) -> float:
+    """Scale the gradients of ``params`` in place so their joint L2 norm is
+    at most ``max_norm``; returns the norm before clipping."""
+    grads = [t.grad for t in params.tensors() if t.grad is not None]
     total = 0.0
-    for g in grads.values():
+    for g in grads:
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for g in grads.values():
+        for g in grads:
             g *= scale
     return norm
-
-
-def collect_grads(params: Params) -> dict[str, np.ndarray]:
-    return {
-        name: t.grad for name, t in params.items() if t.grad is not None
-    }

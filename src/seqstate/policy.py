@@ -19,7 +19,7 @@ from .cohort import N_ACTIONS, Trajectory
 # encode_trajectory stays bound here: the benchmark's tracer counts
 # per-patient encodes by patching this name.
 from .encoders import EncoderModel, encode_many, encode_trajectory  # noqa: F401
-from .optim import adam_init, adam_step, collect_grads
+from .optim import adam_init, adam_step
 
 TERMINAL_REWARD = {0: 1.0, 1: -1.0}  # survived / died
 EVAL_EPSILON = 0.01                  # greedy smoothing for the WIS target policy
@@ -143,7 +143,7 @@ def behavior_clone(buffer: TransitionBuffer, config: BCConfig | None = None) -> 
         if not np.isfinite(float(loss.data)):
             raise FloatingPointError(f"behavior cloning diverged at iteration {it}")
         loss.backward()
-        adam_step(state, params, collect_grads(params))
+        adam_step(state, params)
 
     preds = policy.logits(buffer.states).argmax(axis=1)
     policy.train_accuracy = float((preds == buffer.actions).mean())
@@ -264,7 +264,7 @@ def train_bcq(buffer: TransitionBuffer, config: BCQConfig | None = None,
         if not np.isfinite(float(loss.data)):
             raise FloatingPointError(f"BCQ diverged at iteration {it}")
         loss.backward()
-        adam_step(state, params, collect_grads(params))
+        adam_step(state, params)
 
         if it % config.target_period == 0:
             for k in target:

@@ -158,7 +158,10 @@ def load_encoder_run(run_dir: str | Path) -> tuple[EncoderModel, NormStats, dict
         seed=manifest.get("build_seed") or 0,
         lambdas=tuple(manifest["lambdas"]),
     )
-    model.params.load(arrays)
+    try:
+        model.params.load(arrays)
+    except ValueError as exc:
+        raise DataError(f"{run_dir / 'model.bin'}: {exc}") from None
     model.meta.update(manifest.get("meta", {}))
     stats = NormStats.from_dict(manifest["normalization"])
     return model, stats, manifest

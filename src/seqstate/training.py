@@ -23,7 +23,7 @@ from . import nn
 from .autodiff import Tensor
 from .cohort import N_OBS, Trajectory
 from .encoders import Batch, EncoderModel, infer_many, make_batch, model_forward
-from .optim import adam_init, adam_step, clip_global_norm, collect_grads
+from .optim import adam_init, adam_step, clip_global_norm
 
 GRAD_CLIP_NORM = 10.0
 
@@ -225,9 +225,8 @@ def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
             if not np.isfinite(float(loss.data)):
                 raise TrainingDiverged(epoch, float(loss.data))
             loss.backward()
-            grads = collect_grads(model.params)
-            clip_global_norm(grads, GRAD_CLIP_NORM)
-            adam_step(state, model.params, grads)
+            clip_global_norm(model.params, GRAD_CLIP_NORM)
+            adam_step(state, model.params)
             sum_mse += mse_value * n_pairs
             sum_pairs += n_pairs
             for name, v in rho_values.items():

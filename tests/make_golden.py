@@ -26,7 +26,7 @@ from seqstate import autodiff as ad
 from seqstate.cohort import Trajectory, compute_norm_stats, znormalize
 from seqstate.encoders import (INPUT_MODES, KINDS, build_encoder, encode_many,
                                make_batch, model_forward, predict_next_obs)
-from seqstate.optim import adam_init, adam_step, clip_global_norm, collect_grads
+from seqstate.optim import adam_init, adam_step, clip_global_norm
 from seqstate.policy import (BCConfig, BCQConfig, TransitionBuffer, WisEvalSet,
                              behavior_clone, train_bcq, trajectory_weights)
 from seqstate.synthetic import generate_synthetic
@@ -88,9 +88,8 @@ def encoder_arrays(kind: str) -> dict[str, np.ndarray]:
         loss, mse_value, _, _ = batch_objective(model, batch, regularize=True)
         out[f"{key}.loss"] = np.array([float(loss.data), mse_value])
         loss.backward()
-        grads = collect_grads(model.params)
-        clip_global_norm(grads, GRAD_CLIP_NORM)
-        adam_step(adam_init(model.params, 1e-3), model.params, grads)
+        clip_global_norm(model.params, GRAD_CLIP_NORM)
+        adam_step(adam_init(model.params, 1e-3), model.params)
         with ad.no_grad():
             out[f"{key}.latents_after_step"] = model_forward(model, batch).latents.data
     return out

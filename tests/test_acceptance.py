@@ -50,8 +50,8 @@ def _grad_cases(seed: int):
     rng = np.random.default_rng(seed)
     params = Params()
     dense_w, dense_b = nn.linear_params(params, rng, "d", 4, 3)
-    gru = nn.gru_params(params, rng, "g", 3, 2)
-    lstm = nn.lstm_params(params, rng, "l", 3, 2)
+    nn.gru_params(params, rng, "g", 3, 2)
+    nn.lstm_params(params, rng, "l", 3, 2)
     h0 = rng.normal(size=(2, 2))
     c0 = rng.normal(size=(2, 2))
     times = np.arange(4.0)
@@ -61,14 +61,14 @@ def _grad_cases(seed: int):
         return ad.tsum(ad.tanh(nn.dense(x, dense_w, dense_b)))
 
     def f_gru(x):
-        return ad.tsum(nn.gru_cell(x, Tensor(h0), gru))
+        return ad.tsum(nn.gru_cell(x, Tensor(h0), params, "g"))
 
     def f_gru_w(w):
-        p = nn.GRUParams(w, gru.w_hh, gru.b_ih, gru.b_hh)
-        return ad.tsum(nn.gru_cell(Tensor(rng2), Tensor(h0), p))
+        p = {**dict(params.items()), "g.w_ih": w}
+        return ad.tsum(nn.gru_cell(Tensor(rng2), Tensor(h0), p, "g"))
 
     def f_lstm(x):
-        h, c = nn.lstm_cell(x, Tensor(h0), Tensor(c0), lstm)
+        h, c = nn.lstm_cell(x, Tensor(h0), Tensor(c0), params, "l")
         return ad.tsum(ad.add(h, c))
 
     def f_signature(path):
@@ -86,7 +86,7 @@ def _grad_cases(seed: int):
     return [
         ("dense", f_dense, rng.normal(size=(2, 4))),
         ("gru", f_gru, rng.normal(size=(2, 3))),
-        ("gru_weights", f_gru_w, gru.w_ih.data.copy()),
+        ("gru_weights", f_gru_w, params["g.w_ih"].data.copy()),
         ("lstm", f_lstm, rng.normal(size=(2, 3))),
         ("signature", f_signature, rng.normal(size=(4, 2))),
         ("spline_eval", f_spline, rng.normal(size=(4, 2))),

@@ -453,3 +453,35 @@ def test_policy_run_is_not_an_encoder_run(tmp_path, cohort_csv, encoder_run,
         assert main([*argv, "--cohort", str(cohort_csv),
                      "--out", str(tmp_path / "out")]) == 3
         assert "not an encoder run directory" in capsys.readouterr().err
+
+
+def test_bundle_from_another_d_s_is_data_error(tmp_path, cohort_csv, encoder_run,
+                                               capsys):
+    run = tmp_path / "ais4"
+    assert main(["train-encoder", "--cohort", str(cohort_csv), "--kind", "ais",
+                 "--d-s", "4", "--epochs", "1", "--out", str(run)]) == 0
+    (run / "model.bin").write_bytes((encoder_run / "model.bin").read_bytes())
+    for argv in (["analyze", "--runs", str(run)],
+                 ["train-policy", "--encoder-run", str(run)]):
+        assert main([*argv, "--cohort", str(cohort_csv),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "shape mismatch for enc.gru.w_ih" in err
+
+
+def test_bundle_missing_an_array_is_data_error(tmp_path, cohort_csv, encoder_run,
+                                               capsys):
+    from seqstate.bundle import load_bundle, save_bundle
+
+    run = _copy_run(encoder_run, tmp_path / "run")
+    tag, arrays = load_bundle(run / "model.bin")
+    del arrays["dec.l3.b"]
+    save_bundle(run / "model.bin", tag, arrays)
+    for argv in (["analyze", "--runs", str(run)],
+                 ["train-policy", "--encoder-run", str(run)]):
+        assert main([*argv, "--cohort", str(cohort_csv),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "missing ['dec.l3.b']" in err

@@ -139,6 +139,17 @@ def test_duplicate_step_detected(tmp_path):
         load_cohort(path)
 
 
+def test_outcome_changing_within_a_patient_names_row(tmp_path):
+    def mutate(lines):
+        parts = lines[2].split(",")
+        parts[3] = str(1 - int(parts[3]))
+        lines[2] = ",".join(parts)
+
+    path = _write_rows(tmp_path, mutate)
+    with pytest.raises(CohortError, match=":3: outcome"):
+        load_cohort(path)
+
+
 def test_missing_column_detected(tmp_path):
     path = tmp_path / "m.csv"
     header = [c for c in CSV_HEADER if c != "sofa"]

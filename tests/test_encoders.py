@@ -172,6 +172,13 @@ def test_predict_rejects_wrong_latent_width():
         predict_next_obs(model, np.zeros(9), 0)
 
 
+@pytest.mark.parametrize("action_id", [-1, 25])
+def test_predict_rejects_action_outside_range(action_id):
+    model = build_encoder("ais", 8, "obs")
+    with pytest.raises(ValueError, match=r"outside \[0, 24\]"):
+        predict_next_obs(model, np.zeros(8), action_id)
+
+
 def test_ais_zero_action_acts_on_padded_latent():
     # zeroing the action one-hot makes the decoder see [latent, 0]
     model = build_encoder("ais", 8, "obs", seed=10)

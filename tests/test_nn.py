@@ -1,5 +1,7 @@
 """Losses, statistics, recurrent cells, optimizer, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,20 +140,22 @@ def test_column_pearson_degenerate_column_is_zero():
 # -- recurrent cells ------------------------------------------------------------
 
 
-def _gru_scalar_oracle(x, h, p):
+def _gru_scalar_oracle(x, h, params, name):
     """Per-unit loop mirroring the documented gate equations."""
-    hidden = p.hidden
+    w_ih, w_hh, b_ih, b_hh = (params[f"{name}.{k}"].data
+                              for k in ("w_ih", "w_hh", "b_ih", "b_hh"))
+    hidden = w_hh.shape[0]
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     out = np.zeros_like(h)
     for b in range(x.shape[0]):
-        gi = x[b] @ p.w_ih.data + p.b_ih.data
-        gh = h[b] @ p.w_hh.data + p.b_hh.data
+        gi = x[b] @ w_ih + b_ih
+        gh = h[b] @ w_hh + b_hh
         r_vec = np.array([sig(gi[j] + gh[j]) for j in range(hidden)])
         for j in range(hidden):
             z = sig(gi[hidden + j] + gh[hidden + j])
             hn_pre = (gi[2 * hidden + j]
-                      + (r_vec * h[b]) @ p.w_hh.data[:, 2 * hidden + j]
-                      + p.b_hh.data[2 * hidden + j])
+                      + (r_vec * h[b]) @ w_hh[:, 2 * hidden + j]
+                      + b_hh[2 * hidden + j])
             cand = np.tanh(hn_pre)
             out[b, j] = (1.0 - z) * h[b, j] + z * cand
     return out
@@ -159,48 +163,50 @@ def _gru_scalar_oracle(x, h, p):
 
 def test_gru_zero_params_zero_state():
     params = Params()
-    p = nn.gru_params(params, np.random.default_rng(0), "g", 3, 2)
+    nn.gru_params(params, np.random.default_rng(0), "g", 3, 2)
     for t in params.tensors():
         t.data = np.zeros_like(t.data)
-    out = nn.gru_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), p)
+    out = nn.gru_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))), params, "g")
     np.testing.assert_allclose(out.data, 0.0)
 
 
 def test_gru_saturated_update_gate_keeps_state():
     params = Params()
     rng = np.random.default_rng(1)
-    p = nn.gru_params(params, rng, "g", 3, 2)
+    nn.gru_params(params, rng, "g", 3, 2)
     # drive the update gate to zero: h' = (1-z) h + z cand -> h
-    p.b_ih.data[2:4] = -40.0
-    p.b_hh.data[2:4] = -40.0
+    params["g.b_ih"].data[2:4] = -40.0
+    params["g.b_hh"].data[2:4] = -40.0
     h = rng.normal(size=(2, 2))
-    out = nn.gru_cell(Tensor(rng.normal(size=(2, 3))), Tensor(h), p)
+    out = nn.gru_cell(Tensor(rng.normal(size=(2, 3))), Tensor(h), params, "g")
     np.testing.assert_allclose(out.data, h, atol=1e-12)
 
 
 def test_gru_matches_scalar_loop():
     rng = np.random.default_rng(2)
     params = Params()
-    p = nn.gru_params(params, rng, "g", 4, 3)
+    nn.gru_params(params, rng, "g", 4, 3)
     x = rng.normal(size=(5, 4))
     h = rng.normal(size=(5, 3))
-    got = nn.gru_cell(Tensor(x), Tensor(h), p).data
-    np.testing.assert_allclose(got, _gru_scalar_oracle(x, h, p), atol=1e-12)
+    got = nn.gru_cell(Tensor(x), Tensor(h), params, "g").data
+    np.testing.assert_allclose(got, _gru_scalar_oracle(x, h, params, "g"), atol=1e-12)
 
 
 def test_gru_dimension_mismatch():
     params = Params()
-    p = nn.gru_params(params, np.random.default_rng(0), "g", 4, 3)
+    nn.gru_params(params, np.random.default_rng(0), "g", 4, 3)
     with pytest.raises(ValueError):
-        nn.gru_cell(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 3))), p)
+        nn.gru_cell(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 3))), params, "g")
 
 
-def _lstm_scalar_oracle(x, h, c, p):
-    hidden = p.hidden
+def _lstm_scalar_oracle(x, h, c, params, name):
+    w_ih, w_hh, b_ih, b_hh = (params[f"{name}.{k}"].data
+                              for k in ("w_ih", "w_hh", "b_ih", "b_hh"))
+    hidden = w_hh.shape[0]
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     h_out, c_out = np.zeros_like(h), np.zeros_like(c)
     for b in range(x.shape[0]):
-        pre = x[b] @ p.w_ih.data + p.b_ih.data + h[b] @ p.w_hh.data + p.b_hh.data
+        pre = x[b] @ w_ih + b_ih + h[b] @ w_hh + b_hh
         for j in range(hidden):
             i = sig(pre[j])
             f = sig(pre[hidden + j])
@@ -213,11 +219,11 @@ def _lstm_scalar_oracle(x, h, c, p):
 
 def test_lstm_zero_params_zero_state():
     params = Params()
-    p = nn.lstm_params(params, np.random.default_rng(0), "l", 3, 2)
+    nn.lstm_params(params, np.random.default_rng(0), "l", 3, 2)
     for t in params.tensors():
         t.data = np.zeros_like(t.data)
     h, c = nn.lstm_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 2))),
-                        Tensor(np.zeros((1, 2))), p)
+                        Tensor(np.zeros((1, 2))), params, "l")
     np.testing.assert_allclose(h.data, 0.0)
     np.testing.assert_allclose(c.data, 0.0)
 
@@ -225,14 +231,15 @@ def test_lstm_zero_params_zero_state():
 def test_lstm_saturated_gates_preserve_cell():
     params = Params()
     rng = np.random.default_rng(1)
-    p = nn.lstm_params(params, rng, "l", 3, 2)
-    p.b_ih.data[0:2] = -40.0   # input gate -> 0
-    p.b_hh.data[0:2] = -40.0
-    p.b_ih.data[2:4] = 40.0    # forget gate -> 1
-    p.b_hh.data[2:4] = 40.0
+    nn.lstm_params(params, rng, "l", 3, 2)
+    b_ih, b_hh = params["l.b_ih"].data, params["l.b_hh"].data
+    b_ih[0:2] = -40.0   # input gate -> 0
+    b_hh[0:2] = -40.0
+    b_ih[2:4] = 40.0    # forget gate -> 1
+    b_hh[2:4] = 40.0
     c = rng.normal(size=(2, 2))
     _, c_new = nn.lstm_cell(Tensor(rng.normal(size=(2, 3))),
-                            Tensor(rng.normal(size=(2, 2))), Tensor(c), p)
+                            Tensor(rng.normal(size=(2, 2))), Tensor(c), params, "l")
     np.testing.assert_allclose(c_new.data, c, atol=1e-12)
 
 
@@ -240,12 +247,12 @@ def test_grad_check_through_mse_of_gru():
     # composite loss on a 3-unit cell stays under the gradient tolerance
     rng = np.random.default_rng(6)
     params = Params()
-    p = nn.gru_params(params, rng, "g", 4, 3)
+    nn.gru_params(params, rng, "g", 4, 3)
     h = rng.normal(size=(2, 3))
     target = rng.normal(size=(2, 3))
 
     def f(x):
-        return nn.mse(nn.gru_cell(x, Tensor(h), p), target)
+        return nn.mse(nn.gru_cell(x, Tensor(h), params, "g"), target)
 
     assert grad_check(f, rng.normal(size=(2, 4)), eps=1e-5) < 1e-4
 
@@ -253,10 +260,10 @@ def test_grad_check_through_mse_of_gru():
 def test_lstm_matches_scalar_loop():
     rng = np.random.default_rng(2)
     params = Params()
-    p = nn.lstm_params(params, rng, "l", 4, 3)
+    nn.lstm_params(params, rng, "l", 4, 3)
     x, h, c = rng.normal(size=(5, 4)), rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    h2, c2 = nn.lstm_cell(Tensor(x), Tensor(h), Tensor(c), p)
-    oh, oc = _lstm_scalar_oracle(x, h, c, p)
+    h2, c2 = nn.lstm_cell(Tensor(x), Tensor(h), Tensor(c), params, "l")
+    oh, oc = _lstm_scalar_oracle(x, h, c, params, "l")
     np.testing.assert_allclose(h2.data, oh, atol=1e-12)
     np.testing.assert_allclose(c2.data, oc, atol=1e-12)
 
@@ -268,7 +275,8 @@ def test_adam_zero_grad_no_change():
     params = Params()
     t = params.register("x", np.array([1.0, -2.0]))
     state = adam_init(params, lr=0.1)
-    adam_step(state, params, {"x": np.zeros(2)})
+    t.grad = np.zeros(2)
+    adam_step(state, params)
     np.testing.assert_allclose(t.data, [1.0, -2.0])
 
 
@@ -277,7 +285,8 @@ def test_adam_first_step_is_lr_sized():
     params = Params()
     t = params.register("x", np.array(1.0))
     state = adam_init(params, lr=0.1)
-    adam_step(state, params, {"x": np.array(1.0)})
+    t.grad = np.array(1.0)
+    adam_step(state, params)
     assert float(t.data) == pytest.approx(1.0 - 0.1, abs=1e-8)
 
 
@@ -287,25 +296,59 @@ def test_adam_monotone_against_gradient_sign():
     state = adam_init(params, lr=0.05)
     prev = float(t.data)
     for _ in range(2):
-        adam_step(state, params, {"x": np.array(2.0)})
+        t.grad = np.array(2.0)
+        adam_step(state, params)
         assert float(t.data) < prev
         prev = float(t.data)
 
 
 def test_adam_shape_mismatch():
     params = Params()
-    params.register("x", np.zeros(2))
+    t = params.register("x", np.zeros(2))
     state = adam_init(params, lr=0.1)
+    t.grad = np.zeros(3)
     with pytest.raises(ValueError):
-        adam_step(state, params, {"x": np.zeros(3)})
+        adam_step(state, params)
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
-    norm = clip_global_norm(grads, 1.0)
+    params = Params()
+    params.register("a", np.zeros(2)).grad = np.array([3.0, 4.0])
+    params.register("b", np.zeros(1)).grad = np.array([0.0])
+    norm = clip_global_norm(params, 1.0)
     assert norm == pytest.approx(5.0)
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    total = np.sqrt(sum(float((t.grad * t.grad).sum()) for t in params.tensors()))
     assert total == pytest.approx(1.0)
+
+
+def test_optimizer_skips_parameters_backward_did_not_reach():
+    params = Params()
+    a = params.register("a", np.array([1.0, 2.0]))
+    b = params.register("b", np.array([5.0]))
+    state = adam_init(params, lr=0.1)
+    ad.tsum(ad.mul(a, 3.0)).backward()
+    assert b.grad is None
+    assert clip_global_norm(params, 1.0) == pytest.approx(np.sqrt(18.0))
+    np.testing.assert_allclose(a.grad, [np.sqrt(0.5), np.sqrt(0.5)])
+    adam_step(state, params)
+    assert b.data.tolist() == [5.0]
+    assert state.m["b"].tolist() == [0.0] and state.v["b"].tolist() == [0.0]
+    np.testing.assert_allclose(a.data, [0.9, 1.9])
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda s: s.pop("b"), "missing ['b']"),
+    (lambda s: s.update(c=np.zeros(1)), "unexpected ['c']"),
+    (lambda s: s.update(b=np.zeros(2)), "shape mismatch for b"),
+], ids=["missing", "extra", "mis-shaped"])
+def test_params_load_rejects_a_state_that_does_not_fit(change, message):
+    params = Params()
+    params.register("a", np.ones(2))
+    params.register("b", np.ones(1))
+    state = params.snapshot()
+    change(state)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        params.load(state)
 
 
 def test_softmax_cross_entropy_matches_manual():
