@@ -58,24 +58,29 @@ def inference_patients() -> list[Trajectory]:
 
 
 def encoder_arrays(kind: str) -> dict[str, np.ndarray]:
-    """Per input mode: latents, predictions, the regularized loss and its
-    MSE part, one ``predict_next_obs`` row, and the latents after one
-    clipped Adam step of that loss. On the inference patients: each one's
+    """Per input mode: each golden patient's real rows of the latents, the
+    predictions and the latents after one clipped Adam step of the
+    regularized loss; that loss and its MSE part, and one
+    ``predict_next_obs`` row. On the inference patients: each one's
     ``encode_many`` rows, and ``evaluate_mse`` followed by ``evaluate_rho``
     per score."""
     trajs = golden_patients()
     inference = inference_patients()
     out = {}
+
+    def real_rows(name, array):
+        for i, traj in enumerate(trajs):
+            out[f"{key}.{name}.{i}"] = array[i, :traj.n_steps]
+
     for mode in INPUT_MODES:
         key = f"{kind}.{mode}"
         model = build_encoder(kind, D_S, mode, seed=1)
         batch = make_batch(trajs, mode)
         with ad.no_grad():
             fwd = model_forward(model, batch)
-        lat = fwd.latents.data
-        out[f"{key}.latents"] = lat
-        out[f"{key}.preds"] = fwd.preds.data
-        prefix = lat[0, :3]
+        real_rows("latents", fwd.latents.data)
+        real_rows("preds", fwd.preds.data)
+        prefix = fwd.latents.data[0, :3]
         out[f"{key}.next_obs"] = predict_next_obs(
             model, prefix if kind == "dst" else prefix[-1],
             int(trajs[0].actions[2]))
@@ -91,7 +96,7 @@ def encoder_arrays(kind: str) -> dict[str, np.ndarray]:
         clip_global_norm(model.params, GRAD_CLIP_NORM)
         adam_step(adam_init(model.params, 1e-3), model.params)
         with ad.no_grad():
-            out[f"{key}.latents_after_step"] = model_forward(model, batch).latents.data
+            real_rows("latents_after_step", model_forward(model, batch).latents.data)
     return out
 
 
