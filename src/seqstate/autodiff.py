@@ -8,8 +8,9 @@ at fan-out points.
 
 Index a Tensor with ``t[...]`` (``getitem``), the engine's one indexing
 primitive: a basic slice accumulates its gradient in place, an
-integer-array index through ``np.add.at``, so repeated rows sum. A module
-with a hand-written backward builds its one node with ``make_op``.
+integer-array index through ``np.add.at``, so repeated rows sum. Its
+inverse, ``scatter``, writes a tensor into a zero array at an index. A
+module with a hand-written backward builds its one node with ``make_op``.
 
 All arithmetic is 64-bit; non-finite values appearing in a forward pass
 are treated as an error state by the training code, not silently kept.
@@ -27,7 +28,8 @@ __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "make_op",
     "add", "sub", "neg", "mul", "div", "matmul",
     "sqrt", "tanh", "sigmoid", "relu", "elu",
-    "tsum", "tmean", "reshape", "transpose", "getitem", "concat", "log_softmax",
+    "tsum", "tmean", "reshape", "transpose", "getitem", "scatter", "concat",
+    "log_softmax",
     "grad_check", "GradCheckError",
 ]
 
@@ -367,6 +369,19 @@ def getitem(a, index) -> Tensor:
             a.grad[index] += g
         else:
             np.add.at(a.grad, index, g)
+
+    return make_op(out_data, (a,), backward)
+
+
+def scatter(a, index, shape: tuple) -> Tensor:
+    """A zero array of ``shape`` holding ``a`` at ``index``: the inverse of
+    ``t[index]``. ``index`` must not name a position twice."""
+    a = _lift(a)
+    out_data = np.zeros(shape)
+    out_data[index] = a.data
+
+    def backward(g):
+        a._accumulate(g[index])
 
     return make_op(out_data, (a,), backward)
 

@@ -184,7 +184,10 @@ def run_encoder_training(*, cohort_path: str, out_dir: str, kind: str, d_s: int,
         regularize=reg, lambda_scale=lambda_scale, solver_substeps=substeps)
     if lr is not None:
         cfg.lr = lr
-    result = train_encoder(model, train, val, cfg)
+    try:
+        result = train_encoder(model, train, val, cfg)
+    except ValueError as exc:  # the splits cannot train or validate a model
+        raise DataError(str(exc)) from exc
     run_config = {
         "command": "train-encoder", "cohort": str(cohort_path), "kind": kind,
         "d_s": d_s, "mode": mode, "reg": reg, "split_seed": split_seed,

@@ -249,8 +249,68 @@ _RELU3 = (ad.relu, ad.relu, None)   # activations of the three-layer stacks
 _ELU3 = (ad.elu, ad.elu, None)      # ddm's three-layer stacks
 
 
-def _stack_time(rows: list[Tensor]) -> Tensor:
-    return ad.concat([ad.reshape(r, (r.shape[0], 1, r.shape[1])) for r in rows], axis=1)
+@dataclass
+class Packed:
+    """A batch's real (patient, step) cells as rows, time-major.
+
+    The stays are sorted by length, longest first (a stable sort), so the
+    ``sizes[t]`` stays live at step t are a prefix of that order. Step t's
+    rows are then the slice ``step(t)``, and a recurrent state carries on
+    from step t - 1 as its prefix ``[:sizes[t]]``. This is the layout of
+    PyTorch's ``pack_padded_sequence``.
+    """
+
+    order: np.ndarray    # (B,) batch rows, longest stay first
+    sizes: np.ndarray    # (T,) live stays per step, non-increasing
+    offsets: np.ndarray  # (T + 1,) first row of each step
+    cells: tuple[np.ndarray, np.ndarray]  # (batch row, step) of each packed row
+    prev: np.ndarray     # row of the same stay's previous step, per row past step 0
+
+    def step(self, t: int) -> slice:
+        return slice(self.offsets[t], self.offsets[t + 1])
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """The packed rows of a (B, T, ...) array."""
+        return grid[self.cells]
+
+    def scatter(self, rows: Tensor) -> Tensor:
+        """Packed rows back on the (B, T, ...) grid, each padded cell 0."""
+        shape = (self.order.size, self.sizes.size) + rows.shape[1:]
+        return ad.scatter(rows, self.cells, shape)
+
+
+def pack(lengths: np.ndarray) -> Packed:
+    """The packed layout of stays with these step counts (each at least 1)."""
+    order = np.argsort(-lengths, kind="stable")
+    sizes = (lengths[None, :] > np.arange(lengths.max())[:, None]).sum(axis=1)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cells = (np.concatenate([order[:n] for n in sizes]),
+             np.repeat(np.arange(sizes.size), sizes))
+    prev = np.arange(sizes[0], offsets[-1]) - np.repeat(sizes[:-1], sizes[1:])
+    return Packed(order, sizes, offsets, cells, prev)
+
+
+def _scan(step, state0: tuple, packed: Packed) -> Tensor:
+    """Run the recurrence ``state = step(t, state, packed.step(t))`` over
+    the steps, first cutting the state tensors to the live prefix. The
+    first state tensor is the step's output; returns those as packed rows."""
+    state, outs = state0, []
+    for t, n in enumerate(packed.sizes):
+        if state[0].shape[0] > n:
+            state = tuple(s[:n] for s in state)
+        state = step(t, state, packed.step(t))
+        outs.append(state[0])
+    return ad.concat(outs, axis=0)
+
+
+def _zeros(packed: Packed, width: int) -> Tensor:
+    return Tensor(np.zeros((packed.order.size, width)))
+
+
+def _inputs(batch: Batch, packed: Packed) -> Tensor:
+    """Packed rows of [x, a_prev], the input of every kind but ddm and cde."""
+    return Tensor(np.concatenate([packed.gather(batch.x), packed.gather(batch.a_prev)],
+                                 axis=1))
 
 
 @dataclass
@@ -260,113 +320,99 @@ class ForwardOut:
     aux_ce: Tensor | None = None  # extra objective term (inverse model)
 
 
-def _decode(model: EncoderModel, latents: Tensor, a_curr: np.ndarray) -> Tensor:
-    """Next-observation predictions (B, T, 33) from the (B, T, d_s) latents.
+def _decode(model: EncoderModel, latents: Tensor, a_curr: np.ndarray,
+            sizes: np.ndarray) -> Tensor:
+    """Next-observation predictions (N, 33) from the packed latent rows
+    (N, d_s), laid out by ``sizes`` as in :class:`Packed`.
 
-    The signature decoder reads the whole latent stream; the others are
-    pointwise, and the AE/AIS decoders also read ``a_curr`` (B, T, 25), the
-    one-hot of the current action.
+    The signature decoder reads each stay's whole latent stream; the others
+    are pointwise, and the AE/AIS decoders also read ``a_curr`` (N, 25),
+    the one-hot of the current action.
     """
     p = model.params
     if model.kind == "dst":
         conv = ad.relu(nn.dense(latents, p["dec.c1.w"], p["dec.c1.b"]))
         conv = ad.relu(nn.dense(conv, p["dec.c2.w"], p["dec.c2.b"]))
-        hid = ad.relu(sig2_linear(conv, p["dec.l1.w"], p["dec.l1.b"]))
+        hid = ad.relu(sig2_linear(conv, p["dec.l1.w"], p["dec.l1.b"], sizes))
         return nn.dense(hid, p["dec.l2.w"], p["dec.l2.b"])
     if model.kind in ("ae", "ais"):
-        latents = ad.concat([latents, Tensor(a_curr)], axis=2)
+        latents = ad.concat([latents, Tensor(a_curr)], axis=1)
     return nn.mlp(latents, p, "dec", _ELU3 if model.kind == "ddm" else _RELU3)
 
 
-def _forward_ae(model: EncoderModel, batch: Batch) -> ForwardOut:
-    inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    latents = nn.mlp(inp, model.params, "enc", _RELU3)
-    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
+# Each forward maps a batch's packed rows to its packed latent rows and
+# the extra objective term, if any.
 
 
-def _forward_rnn(model: EncoderModel, batch: Batch) -> ForwardOut:
+def _forward_ae(model: EncoderModel, batch: Batch, packed: Packed):
+    return nn.mlp(_inputs(batch, packed), model.params, "enc", _RELU3), None
+
+
+def _forward_rnn(model: EncoderModel, batch: Batch, packed: Packed):
     """The rnn and ais forward; they differ only in their decoder."""
     p = model.params
-    inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    u = nn.mlp(inp, p, "enc", (ad.relu, ad.relu))
-    bsz, t_max = batch.shape
-    h = Tensor(np.zeros((bsz, model.d_s)))
-    rows = []
-    for t in range(t_max):
-        h = nn.gru_cell(u[:, t], h, p, "enc.gru")
-        rows.append(h)
-    latents = _stack_time(rows)
-    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
+    u = nn.mlp(_inputs(batch, packed), p, "enc", (ad.relu, ad.relu))
+
+    def step(t, state, rows):
+        return (nn.gru_cell(u[rows], state[0], p, "enc.gru"),)
+
+    return _scan(step, (_zeros(packed, model.d_s),), packed), None
 
 
-def _forward_ddm(model: EncoderModel, batch: Batch) -> ForwardOut:
+def _forward_ddm(model: EncoderModel, batch: Batch, packed: Packed):
     p = model.params
-    d_s = model.d_s
-    bsz, t_max = batch.shape
-    z = nn.mlp(Tensor(batch.x), p, "enc", (ad.elu, ad.elu, ad.tanh))
-    a_emb = nn.mlp(Tensor(batch.a_curr), p, "act", (ad.elu, None))
-    u = nn.dense(ad.concat([z, a_emb], axis=2), p["fuse.l.w"], p["fuse.l.b"])
-    h = Tensor(np.zeros((bsz, d_s)))
-    c = Tensor(np.zeros((bsz, d_s)))
-    rows = []
-    for t in range(t_max):
-        h, c = nn.lstm_cell(u[:, t], h, c, p, "dyn.lstm")
-        rows.append(ad.tanh(h))  # mean head; the cell state carries the spread
-    latents = _stack_time(rows)
-    preds = _decode(model, latents, batch.a_curr)
+    z = nn.mlp(Tensor(packed.gather(batch.x)), p, "enc", (ad.elu, ad.elu, ad.tanh))
+    a_emb = nn.mlp(Tensor(packed.gather(batch.a_curr)), p, "act", (ad.elu, None))
+    u = nn.dense(ad.concat([z, a_emb], axis=1), p["fuse.l.w"], p["fuse.l.b"])
 
+    def step(t, state, rows):
+        return nn.lstm_cell(u[rows], *state, p, "dyn.lstm")
+
+    state0 = (_zeros(packed, model.d_s), _zeros(packed, model.d_s))
+    latents = ad.tanh(_scan(step, state0, packed))  # mean head; c carries the spread
+    if packed.prev.size == 0:
+        return latents, None
     # inverse model: recover A_t from consecutive observation embeddings
-    pair_idx = np.flatnonzero(batch.pair_mask.reshape(-1))
-    if pair_idx.size == 0:
-        return ForwardOut(latents, preds)
-    z_flat = ad.reshape(z, (bsz * t_max, d_s))
-    logits = nn.mlp(ad.concat([z_flat[pair_idx], z_flat[pair_idx + 1]], axis=1),
+    logits = nn.mlp(ad.concat([z[packed.prev], z[packed.sizes[0]:]], axis=1),
                     p, "inv", (ad.elu, None))
-    labels = batch.a_ids.reshape(-1)[pair_idx]
-    aux = nn.softmax_cross_entropy(logits, labels)
-    return ForwardOut(latents, preds, aux_ce=aux)
+    labels = packed.gather(batch.a_ids)[packed.prev]
+    return latents, nn.softmax_cross_entropy(logits, labels)
 
 
-def _forward_dst(model: EncoderModel, batch: Batch) -> ForwardOut:
+def _forward_dst(model: EncoderModel, batch: Batch, packed: Packed):
     p = model.params
-    bsz, t_max = batch.shape
     hidden = model.meta["gru_hidden"]
-    inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    aug = nn.mlp(inp, p, "aug", (ad.relu, None))
-    stream = ad.concat([inp, aug], axis=2)
-    gi1 = sig2_linear(stream, p["enc.gru1.w_ih"], p["enc.gru1.b_ih"])  # (B, T, 3H)
-    h1 = Tensor(np.zeros((bsz, hidden)))
-    h2 = Tensor(np.zeros((bsz, hidden)))
-    rows = []
-    for t in range(t_max):
-        h1 = nn.gru_step(gi1[:, t], h1, p, "enc.gru1")
-        h2 = nn.gru_cell(h1, h2, p, "enc.gru2")
-        rows.append(h2)
-    latents = _stack_time(rows)
+    inp = _inputs(batch, packed)
+    stream = ad.concat([inp, nn.mlp(inp, p, "aug", (ad.relu, None))], axis=1)
+    gi1 = sig2_linear(stream, p["enc.gru1.w_ih"], p["enc.gru1.b_ih"], packed.sizes)
+
+    def step(t, state, rows):
+        h2, h1 = state
+        h1 = nn.gru_step(gi1[rows], h1, p, "enc.gru1")
+        return nn.gru_cell(h1, h2, p, "enc.gru2"), h1
+
+    latents = _scan(step, (_zeros(packed, hidden), _zeros(packed, hidden)), packed)
     if "enc.head.w" in p:
         latents = nn.dense(latents, p["enc.head.w"], p["enc.head.b"])
-    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
+    return latents, None
 
 
-def _forward_ode(model: EncoderModel, batch: Batch) -> ForwardOut:
+def _forward_ode(model: EncoderModel, batch: Batch, packed: Packed):
     p = model.params
-    bsz, t_max = batch.shape
     substeps = model.meta.get("substeps", 4)
-    inp = Tensor(np.concatenate([batch.x, batch.a_prev], axis=2))
-    u = nn.mlp(inp, p, "pre", (ad.relu, ad.relu))
+    u = nn.mlp(_inputs(batch, packed), p, "pre", (ad.relu, ad.relu))
 
     def vector_field(_t, state):
         return nn.mlp(state, p, "field", (ad.tanh, None))
 
-    h = Tensor(np.zeros((bsz, ODE_HIDDEN)))
-    rows = []
-    for t in range(t_max):
+    def step(t, state, rows):
+        h = state[0]
         if t > 0:
             h = rk4_solve(vector_field, h, float(t - 1), float(t), substeps)
-        h = nn.gru_cell(u[:, t], h, p, "enc.gru")
-        rows.append(nn.dense(h, p["enc.head.w"], p["enc.head.b"]))
-    latents = _stack_time(rows)
-    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
+        return (nn.gru_cell(u[rows], h, p, "enc.gru"),)
+
+    hidden = _scan(step, (_zeros(packed, ODE_HIDDEN),), packed)
+    return nn.dense(hidden, p["enc.head.w"], p["enc.head.b"]), None
 
 
 def cde_path_values(batch: Batch) -> np.ndarray:
@@ -401,42 +447,38 @@ def _cde_head(pre: Tensor, w: Tensor, b: Tensor, xdot: np.ndarray,
     return ad.make_op(out, (pre, w, b), backward)
 
 
-def _forward_cde(model: EncoderModel, batch: Batch) -> ForwardOut:
+def _forward_cde(model: EncoderModel, batch: Batch, packed: Packed):
     p = model.params
-    bsz, t_max = batch.shape
     substeps = model.meta.get("substeps", 4)
     channels = model.meta["channels"]
-    d_s = model.d_s
-    path = cde_path_values(batch)
+    path = cde_path_values(batch)[packed.order]  # live stays at step t: [:sizes[t]]
 
     def field_apply(z, xdot):
         out = ad.relu(nn.dense(z, p["field.l0.w"], p["field.l0.b"]))
         for i in range(1, 5):
             out = ad.relu(nn.dense(out, p[f"field.l{i}.w"], p[f"field.l{i}.b"]))
-        return _cde_head(out, p["field.out.w"], p["field.out.b"], xdot, d_s, channels)
+        return _cde_head(out, p["field.out.w"], p["field.out.b"], xdot, model.d_s,
+                         channels)
 
-    z = nn.dense(Tensor(path[:, 0, :]), p["init.l.w"], p["init.l.b"])
-    rows = [z]
-    for t in range(1, t_max):
+    def step(t, state, rows):
+        if t == 0:
+            return state
         # refit the interpolant on the observed prefix; the path is data, so
         # the spline solve stays out of the autodiff graph
+        prefix = path[:packed.sizes[t], :t + 1]
         smat = uniform_spline_matrix(t + 1)
-        prefix = path[:, :t + 1, :]
         m_lo = np.einsum("j,bjc->bc", smat[t - 1], prefix)
         m_hi = np.einsum("j,bjc->bc", smat[t], prefix)
-        dy = path[:, t, :] - path[:, t - 1, :]
+        dy = prefix[:, t] - prefix[:, t - 1]
 
-        def control_deriv(s, lo=float(t - 1), m0=m_lo, m1=m_hi, d=dy):
-            w0, w1, wd = deriv_weights(1.0, s - lo)
-            return w0 * m0 + w1 * m1 + wd * d
+        def cde_field(s, z):
+            w0, w1, wd = deriv_weights(1.0, s - (t - 1))
+            return field_apply(z, w0 * m_lo + w1 * m_hi + wd * dy)
 
-        def cde_field(s, state):
-            return field_apply(state, control_deriv(s))
+        return (rk4_solve(cde_field, state[0], float(t - 1), float(t), substeps),)
 
-        z = rk4_solve(cde_field, z, float(t - 1), float(t), substeps)
-        rows.append(z)
-    latents = _stack_time(rows)
-    return ForwardOut(latents, _decode(model, latents, batch.a_curr))
+    z0 = nn.dense(Tensor(path[:, 0]), p["init.l.w"], p["init.l.b"])
+    return _scan(step, (z0,), packed), None
 
 
 _FORWARDS = {
@@ -451,12 +493,18 @@ _FORWARDS = {
 
 
 def model_forward(model: EncoderModel, batch: Batch) -> ForwardOut:
+    """Latents and predictions on the batch's (B, T) grid, in its row
+    order. Only the real cells are computed, on the batch packed once;
+    every padded cell is exactly 0."""
     if batch.x.shape[2] != model.n_x:
         raise ValueError(
             f"batch width {batch.x.shape[2]} does not match input mode "
             f"{model.input_mode!r} (expected {model.n_x})"
         )
-    return _FORWARDS[model.kind](model, batch)
+    packed = pack(batch.mask.sum(axis=1).astype(np.int64))
+    latents, aux_ce = _FORWARDS[model.kind](model, batch, packed)
+    preds = _decode(model, latents, packed.gather(batch.a_curr), packed.sizes)
+    return ForwardOut(packed.scatter(latents), packed.scatter(preds), aux_ce)
 
 
 # -- inference-mode encoding -----------------------------------------------------------
@@ -470,9 +518,9 @@ def infer_many(model: EncoderModel,
     rows, (n_steps - 1, N_OBS) each, for normalized trajectories in input
     order; the one inference-mode loop over a frozen model.
 
-    Patients run ENCODE_BATCH at a time in order of stay length, so a batch
-    carries little padding. Every encoder is causal, so a patient's rows do
-    not depend on the padding after them; they agree with a batch-of-one
+    Patients run ENCODE_BATCH at a time in order of stay length, so each
+    batch's time loop runs only as long as its stays; the forward computes
+    real rows alone either way. A patient's rows agree with a batch-of-one
     forward to rounding (about 1e-15), not bit for bit, because BLAS picks
     different kernels for different batch shapes.
     """
@@ -522,8 +570,8 @@ def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) ->
         raise ValueError(f"latent width {latent.shape[-1]} != d_s {model.d_s}")
     if model.kind != "dst":
         latent = latent[-1:]
-    a_curr = np.zeros((1, latent.shape[0], N_ACTIONS))
-    a_curr[0, -1, action_id] = 1.0
+    a_curr = np.zeros((latent.shape[0], N_ACTIONS))
+    a_curr[-1, action_id] = 1.0
     with ad.no_grad():
-        pred = _decode(model, Tensor(latent[None]), a_curr)
-    return pred.data[0, -1].copy()
+        pred = _decode(model, Tensor(latent), a_curr, np.ones(latent.shape[0], np.int64))
+    return pred.data[-1].copy()

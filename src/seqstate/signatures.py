@@ -199,24 +199,32 @@ def sig2_stream(x) -> Tensor:
     return ad.make_op(out, (x,), backward)
 
 
-def sig2_linear(x, w, b) -> Tensor:
-    """``sig2_stream(x) @ w + b`` for paths x of shape (B, T, C), without
-    building the (B, T, 1 + C + C^2) stream.
+def sig2_linear(x, w, b, sizes) -> Tensor:
+    """``sig2_stream @ w + b`` for paths packed time-major, without
+    building the (N, 1 + C + C^2) stream.
+
+    ``x`` (N, C) holds the points of B paths by step: ``sizes[t]`` paths,
+    a non-increasing count, have a point at step t, and step t's rows
+    follow step t - 1's in the same path order, so the path of rank r has
+    its point t at row ``sum(sizes[:t]) + r``. Row i of the output is the
+    projected stream row of row i's path and step.
 
     With dx_s the increment of segment s and m_s = S1_s + dx_s / 2 the
     level-1 value at its midpoint, the level-2 row at step t is
     sum_{s<t} m_s (x) dx_s. Its projection through the (C, C*K) level-2
     block W2 of w is the running sum over s of dx_s . (m_s @ W2): one
-    (N, C) @ (C, C*K) GEMM forward and two backward, N = B (T - 1). One
-    primitive with an analytic backward pass; a one-point path gives
-    w[0] + b.
+    (S, C) @ (C, C*K) GEMM forward and two backward, over the S = N - B
+    segments that lie inside a path. One primitive with an analytic
+    backward pass; a one-point path gives w[0] + b.
     """
     x, w, b = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, w, b))
-    if x.ndim != 3:
-        raise ValueError("sig2_linear expects x of shape (B, T, C)")
-    bsz, t_len, channels = x.shape
-    if t_len < 1:
-        raise ValueError("sig2_linear needs at least 1 path point")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (x.ndim != 2 or sizes.ndim != 1 or sizes.size < 1 or sizes[-1] < 1
+            or np.any(np.diff(sizes) > 0) or int(sizes.sum()) != x.shape[0]):
+        raise ValueError(
+            f"sig2_linear expects x of shape (N, C) packed by a non-increasing "
+            f"positive sizes summing to N; got {x.shape} and sizes {sizes.tolist()}")
+    n_rows, channels = x.shape
     width = 1 + channels + channels * channels
     if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
         raise ValueError(
@@ -224,26 +232,38 @@ def sig2_linear(x, w, b) -> Tensor:
             f"and b of shape (K,); got {w.shape} and {b.shape}"
         )
     k_out = w.shape[1]
-    n = bsz * (t_len - 1)
+    n0 = int(sizes[0])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # for segment row i (the point at step t >= 1): its path's previous
+    # point and first point
+    prev = np.arange(n0, n_rows) - np.repeat(sizes[:-1], sizes[1:])
+    first = prev - np.repeat(offsets[:-2], sizes[1:])
+    seg = offsets[:-1] - n0  # where step t >= 1 starts among the segment rows
+
     data = x.data
     w1 = w.data[1:1 + channels]                                   # (C, K)
     w2 = w.data[1 + channels:].reshape(channels, channels * k_out)
-    d_x = (data[:, 1:] - data[:, :-1]).reshape(n, channels)
+    d_x = data[n0:] - data[prev]
     # m_s = S1_s + dx_s / 2 = (x_s + x_{s+1}) / 2 - x_0
-    mid = (0.5 * (data[:, 1:] + data[:, :-1]) - data[:, :1]).reshape(n, channels)
+    mid = 0.5 * (data[n0:] + data[prev]) - data[first]
 
-    proj = (mid @ w2).reshape(n, channels, k_out)  # [s, d] = sum_c m_sc W2[c, d]
+    proj = (mid @ w2).reshape(-1, channels, k_out)  # [s, d] = sum_c m_sc W2[c, d]
     step = d_x @ w1 + np.einsum("nd,ndk->nk", d_x, proj)
-    out = np.empty((bsz, t_len, k_out))
-    out[:, 0] = w.data[0] + b.data
-    np.cumsum(step.reshape(bsz, t_len - 1, k_out), axis=1, out=out[:, 1:])
-    out[:, 1:] += out[:, :1]
+    for t in range(2, sizes.size):  # running sum over each path's segments
+        n = sizes[t]
+        step[seg[t]:seg[t] + n] += step[seg[t - 1]:seg[t - 1] + n]
+    out = np.empty((n_rows, k_out))
+    out[:n0] = w.data[0] + b.data
+    out[n0:] = step + out[:1]
 
     def backward(g):
-        # step s reaches every output row t > s
-        g_step = np.cumsum(g[:, :0:-1], axis=1)[:, ::-1].reshape(n, k_out)
-        outer = (d_x[:, :, None] * g_step[:, None, :]).reshape(n, channels * k_out)
-        g_sum = g.sum(axis=(0, 1))
+        # step s reaches every later output row of its path
+        g_step = np.array(g[n0:])
+        for t in range(sizes.size - 2, 0, -1):
+            n = sizes[t + 1]
+            g_step[seg[t]:seg[t] + n] += g_step[seg[t + 1]:seg[t + 1] + n]
+        outer = (d_x[:, :, None] * g_step[:, None, :]).reshape(-1, channels * k_out)
+        g_sum = g.sum(axis=0)
         if b.requires_grad:
             b._accumulate(g_sum)
         if w.requires_grad:
@@ -253,13 +273,15 @@ def sig2_linear(x, w, b) -> Tensor:
             g_w[1 + channels:] = (mid.T @ outer).reshape(channels * channels, k_out)
             w._accumulate(g_w)
         if x.requires_grad:
-            g_dx = (g_step @ w1.T + np.einsum("ndk,nk->nd", proj, g_step)
-                    ).reshape(bsz, t_len - 1, channels)
-            g_mid = (outer @ w2.T).reshape(bsz, t_len - 1, channels)
+            g_dx = g_step @ w1.T + np.einsum("ndk,nk->nd", proj, g_step)
+            g_mid = outer @ w2.T
             g_x = np.zeros_like(data)
-            g_x[:, 1:] += g_dx + 0.5 * g_mid
-            g_x[:, :-1] += 0.5 * g_mid - g_dx
-            g_x[:, 0] -= g_mid.sum(axis=1)  # every m_s is measured from x_0
+            g_x[n0:] += g_dx + 0.5 * g_mid
+            g_x[prev] += 0.5 * g_mid - g_dx
+            g_first = np.zeros((n0, channels))  # every m_s is measured from x_0
+            for t in range(1, sizes.size):
+                g_first[:sizes[t]] += g_mid[seg[t]:seg[t] + sizes[t]]
+            g_x[:n0] -= g_first
             x._accumulate(g_x)
 
     return ad.make_op(out, (x, w, b), backward)

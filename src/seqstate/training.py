@@ -198,6 +198,9 @@ def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
     train_ids = {t.patient_id for t in train_trajs}
     if any(t.patient_id in train_ids for t in val_trajs):
         raise ValueError("training and validation splits overlap")
+    if all(t.n_steps < 2 for t in val_trajs):
+        raise ValueError("the validation split has no (t -> t+1) pair: every stay "
+                         "is one step, so the validation MSE is undefined")
     if config.solver_substeps is not None and "substeps" in model.meta:
         model.meta["substeps"] = config.solver_substeps
     if config.lambda_scale is not None:

@@ -69,19 +69,33 @@ def test_reduction_and_shape_grads():
         assert grad_check(f, x) < 1e-8
 
 
-@pytest.mark.parametrize("shape, index", [
-    ((3, 4, 2), (slice(None), 2)),                            # time-axis slice
-    ((6, 5), np.array([0, 2, 2, 5])),                         # repeated rows
-    ((6, 5), (np.arange(6), np.array([1, 4, 0, 2, 2, 3]))),   # one column per row
-], ids=["time-slice", "repeated-rows", "row-col-pick"])
-def test_getitem_grad(shape, index):
+@pytest.mark.parametrize("shape, index, grid", [
+    ((3, 4, 2), (slice(None), 2), None),                            # time-axis slice
+    ((6, 5), np.array([0, 2, 2, 5]), None),                         # repeated rows
+    ((6, 5), (np.arange(6), np.array([1, 4, 0, 2, 2, 3])), None),   # one column per row
+    ((5, 2), (np.array([2, 0, 1, 0, 2]), np.array([0, 0, 1, 2, 2])), (3, 3, 2)),
+], ids=["time-slice", "repeated-rows", "row-col-pick", "scatter"])
+def test_getitem_grad(shape, index, grid):
+    """``t[index]``, or with a ``grid`` shape its inverse: packed rows
+    scattered to their (row, step) cells of a zero grid."""
     rng = np.random.default_rng(3)
     x = rng.normal(size=shape)
-    picked = Tensor(x)[index]
-    np.testing.assert_array_equal(picked.data, x[index])
+    if grid is None:
+        want = x[index]
+
+        def op(t):
+            return t[index]
+    else:
+        want = np.zeros(grid)
+        want[index] = x
+
+        def op(t):
+            return ad.scatter(t, index, grid)
+    picked = op(Tensor(x))
+    np.testing.assert_array_equal(picked.data, want)
     weight = Tensor(rng.normal(size=picked.shape))
     # a repeated row's gradient is the sum of its picks' weights
-    err = grad_check(lambda t: ad.tsum(ad.mul(t[index], weight)), x)
+    err = grad_check(lambda t: ad.tsum(ad.mul(op(t), weight)), x)
     assert err < 1e-8
 
 
@@ -109,6 +123,7 @@ def test_each_primitive_makes_one_node(monkeypatch):
         "elu": lambda: ad.elu(x), "tsum": lambda: ad.tsum(x, axis=0),
         "reshape": lambda: ad.reshape(x, (12,)), "transpose": lambda: ad.transpose(x),
         "getitem": lambda: ad.getitem(x, (slice(None), 1)),
+        "scatter": lambda: ad.scatter(x, np.array([3, 0, 1, 4]), (5, 3)),
         "concat": lambda: ad.concat([x, y], axis=1),
         "log_softmax": lambda: ad.log_softmax(x),
         "x + y": lambda: x + y, "x * y": lambda: x * y,

@@ -268,6 +268,25 @@ def test_numerical_failure_exit_code(tmp_path, cohort_csv, monkeypatch):
     assert code == 4
 
 
+def test_validation_without_a_pair_is_data_error(tmp_path, cohort_csv, capsys):
+    # a cohort of one-step stays gives a validation split with no (t -> t+1)
+    # pair: bad data (exit 3), not a numerical failure (exit 4)
+    from seqstate.cohort import Cohort, Trajectory, save_cohort
+
+    cohort = load_cohort(cohort_csv)
+    one_step = Cohort([Trajectory(t.patient_id, t.obs[:1], t.demog, t.actions[:1],
+                                  t.sofa[:1], t.saps2[:1], t.oasis[:1], t.outcome)
+                       for t in cohort.trajectories], cohort.provenance)
+    csv = tmp_path / "one_step.csv"
+    save_cohort(one_step, csv)
+    code = main(["train-encoder", "--cohort", str(csv), "--kind", "ae",
+                 "--d-s", "4", "--epochs", "1", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "validation split has no (t -> t+1) pair" in err
+
+
 def test_default_dimension_grid_is_the_reference_grid():
     from seqstate.encoders import D_S_GRID
 

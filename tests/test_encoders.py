@@ -138,6 +138,26 @@ def test_encode_many_matches_per_patient(kind, mode):
         assert np.abs(lat - ref.latents).max() <= 1e-12
 
 
+@pytest.mark.parametrize("mode", INPUT_MODES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_forward_padded_cells_are_zero(kind, mode):
+    # stays of 1, 5, 3 and 5 steps in batch order, so the packed order
+    # differs from it and two stays tie on length
+    trajs = [t for t in _normed_trajs(20, seed=15) if t.n_steps >= 5][:4]
+    trajs = [_truncated(t, n, f"p{i}") for i, (t, n) in enumerate(zip(trajs, (1, 5, 3, 5)))]
+    model = build_encoder(kind, 4, mode, seed=16)
+    batch = make_batch(trajs, mode)
+    with ad.no_grad():
+        out = model_forward(model, batch)
+    for i, traj in enumerate(trajs):
+        n = traj.n_steps
+        for name, arr in (("latents", out.latents.data), ("preds", out.preds.data)):
+            assert np.all(arr[i, n:] == 0.0), (name, i)
+            assert np.all(np.isfinite(arr[i, :n])) and np.any(arr[i, :n] != 0.0), (name, i)
+        alone = encode_trajectory(model, traj).latents
+        assert np.abs(out.latents.data[i, :n] - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
 def test_encode_many_names_the_non_finite_patient():
     trajs = _normed_trajs(12, seed=13)
     bad = trajs[5]

@@ -160,11 +160,16 @@ def test_signature_grad_checks():
     assert err < 1e-7
 
 
-def _sig2_linear_case(rng, bsz, t_len, channels, k_out):
-    x = rng.normal(size=(bsz, t_len, channels))
+def _sig2_linear_case(rng, lengths, channels, k_out):
+    """Random paths of ``lengths`` (longest first) as a (B, T, C) grid, the
+    same points packed time-major with their sizes, and a K-wide
+    projection: (grid, x, sizes, w, b)."""
+    grid = rng.normal(size=(len(lengths), max(lengths), channels))
+    sizes = [sum(n > t for n in lengths) for t in range(max(lengths))]
+    x = np.concatenate([grid[:n, t] for t, n in enumerate(sizes)])
     w = rng.normal(size=(sig_length(channels, 2), k_out))
     b = rng.normal(size=k_out)
-    return x, w, b
+    return grid, x, sizes, w, b
 
 
 @pytest.mark.parametrize("t_len,channels,k_out",
@@ -172,29 +177,34 @@ def _sig2_linear_case(rng, bsz, t_len, channels, k_out):
                          + [(19, 66, 24), (19, 32, 64)])
 def test_sig2_linear_matches_projected_stream(t_len, channels, k_out):
     # the widths of dst's first GRU input (66 channels, 3H = 24) and of its
-    # decoder's first layer (32 channels, 64 units)
+    # decoder's first layer (32 channels, 64 units); three paths of
+    # different lengths, so the live prefix shrinks
     rng = np.random.default_rng(t_len * 100 + channels)
-    x, w, b = _sig2_linear_case(rng, 3, t_len, channels, k_out)
-    want = nn.dense(sig2_stream(x), Tensor(w), Tensor(b)).data
-    got = sig2_linear(x, w, b).data
-    assert got.shape == (3, t_len, k_out)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    lengths = (t_len, (t_len + 1) // 2, 1)
+    grid, x, sizes, w, b = _sig2_linear_case(rng, lengths, channels, k_out)
+    got = sig2_linear(x, w, b, sizes).data
+    assert got.shape == (sum(lengths), k_out)
+    offsets = np.cumsum([0] + sizes)
+    for r, n in enumerate(lengths):
+        want = nn.dense(sig2_stream(grid[r:r + 1, :n]), Tensor(w), Tensor(b)).data[0]
+        rows = got[offsets[:n] + r]
+        assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_sig2_linear_of_one_point_is_bias_plus_level0_row():
     rng = np.random.default_rng(11)
-    x, w, b = _sig2_linear_case(rng, 2, 1, 3, 5)
-    out = sig2_linear(x, w, b).data
-    assert np.array_equal(out, np.broadcast_to(w[0] + b, (2, 1, 5)))
+    _grid, x, sizes, w, b = _sig2_linear_case(rng, (1, 1), 3, 5)
+    out = sig2_linear(x, w, b, sizes).data
+    assert np.array_equal(out, np.broadcast_to(w[0] + b, (2, 5)))
 
 
 def test_sig2_linear_grad_checks():
     rng = np.random.default_rng(12)
-    x, w, b = _sig2_linear_case(rng, 2, 4, 3, 2)
-    weight = Tensor(rng.normal(size=(2, 4, 2)))
+    _grid, x, sizes, w, b = _sig2_linear_case(rng, (4, 3, 1), 3, 2)
+    weight = Tensor(rng.normal(size=(8, 2)))
 
     def loss(xt, wt, bt):
-        return ad.tsum(ad.mul(sig2_linear(xt, wt, bt), weight))
+        return ad.tsum(ad.mul(sig2_linear(xt, wt, bt, sizes), weight))
 
     assert grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), x) < 1e-6
     assert grad_check(lambda t: loss(Tensor(x), t, Tensor(b)), w) < 1e-6
@@ -202,8 +212,17 @@ def test_sig2_linear_grad_checks():
 
 
 def test_sig2_linear_rejects_mismatched_weights():
-    x = np.zeros((2, 3, 3))
+    x = np.zeros((6, 3))
     with pytest.raises(ValueError):
-        sig2_linear(x, np.zeros((12, 2)), np.zeros(2))  # needs 13 rows
+        sig2_linear(x, np.zeros((12, 2)), np.zeros(2), [2, 2, 2])  # needs 13 rows
     with pytest.raises(ValueError):
-        sig2_linear(x, np.zeros((13, 2)), np.zeros(3))
+        sig2_linear(x, np.zeros((13, 2)), np.zeros(3), [2, 2, 2])
+
+
+@pytest.mark.parametrize("shape, sizes", [
+    ((6, 3), [2, 2]), ((6, 3), [1, 2, 3]), ((6, 3), [3, 3, 0]), ((1, 6, 3), [6]),
+], ids=["sizes-short", "sizes-growing", "empty-step", "grid-input"])
+def test_sig2_linear_rejects_a_bad_layout(shape, sizes):
+    x = np.zeros(shape)
+    with pytest.raises(ValueError, match="packed"):
+        sig2_linear(x, np.zeros((13, 2)), np.zeros(2), sizes)

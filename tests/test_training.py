@@ -53,11 +53,12 @@ def _directional_derivative(model, batch, regularize, rng,
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_objective_directional_gradient(kind, regularize):
     train, _, _ = _splits(60, seed=4)
-    long_stays = [t for t in train if t.n_steps >= 4][:2]
-    # two patients, 4 and 3 steps, so the shorter one is padded
+    long_stays = [t for t in train if t.n_steps >= 4][:3]
+    # three patients, 4, 3 and 1 steps: the live rows shrink twice, and a
+    # one-step stay rides along
     trajs = [Trajectory(t.patient_id, t.obs[:n], t.demog, t.actions[:n],
                         t.sofa[:n], t.saps2[:n], t.oasis[:n], t.outcome)
-             for t, n in zip(long_stays, (4, 3))]
+             for t, n in zip(long_stays, (4, 3, 1))]
     model = build_encoder(kind, 2, "obs", seed=5)
     analytic, numeric = _directional_derivative(
         model, make_batch(trajs, "obs"), regularize, np.random.default_rng(6))
@@ -147,6 +148,21 @@ def test_divergence_records_epoch():
     with pytest.raises(TrainingDiverged) as exc_info:
         train_encoder(model, train, val, TrainConfig(epochs=5, lr=1e-4, seed=0))
     assert exc_info.value.epoch == 0
+
+
+def test_validation_without_a_pair_rejected_before_training():
+    # one-step stays have no (t -> t+1) pair, so the validation MSE is
+    # undefined; that is bad data, not a diverged run
+    train, val, _ = _splits(60, seed=7)
+    one_step = [Trajectory(t.patient_id, t.obs[:1], t.demog, t.actions[:1],
+                           t.sofa[:1], t.saps2[:1], t.oasis[:1], t.outcome)
+                for t in val]
+    model = build_encoder("ae", 4, "obs", seed=9)
+    before = model.params.snapshot()
+    with pytest.raises(ValueError, match="validation split"):
+        train_encoder(model, train, one_step, TrainConfig(epochs=1, lr=1e-4))
+    after = model.params.snapshot()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_split_overlap_rejected():
