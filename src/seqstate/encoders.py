@@ -27,6 +27,7 @@ from . import nn
 from .autodiff import Tensor
 from .cohort import N_ACTIONS, N_DEMOG, N_OBS, Trajectory
 from .odesolve import rk4_solve
+from .packing import Packed, pack
 # sig2_stream stays bound here: the benchmark's tracer counts calls to
 # it by this name, though dst now reads its stream through sig2_linear
 from .signatures import sig2_linear, sig2_stream, sig_length  # noqa: F401
@@ -118,10 +119,8 @@ def make_batch(trajectories: list[Trajectory], input_mode: str) -> Batch:
                 [traj.obs, np.tile(traj.demog, (t_i, 1))], axis=1
             )
         x[i, :t_i] = feats
-        x[i, t_i:] = feats[-1]  # repeat-last padding keeps splines bounded
         a_ids[i, :t_i] = traj.actions
-        a_ids[i, t_i:] = traj.actions[-1]
-        a_curr[i, np.arange(t_max), a_ids[i]] = 1.0
+        a_curr[i, np.arange(t_i), traj.actions] = 1.0
         a_prev[i, 1:, :] = a_curr[i, :-1, :]
         obs_next[i, :t_i - 1] = traj.obs[1:]
         mask[i, :t_i] = 1.0
@@ -249,47 +248,6 @@ _RELU3 = (ad.relu, ad.relu, None)   # activations of the three-layer stacks
 _ELU3 = (ad.elu, ad.elu, None)      # ddm's three-layer stacks
 
 
-@dataclass
-class Packed:
-    """A batch's real (patient, step) cells as rows, time-major.
-
-    The stays are sorted by length, longest first (a stable sort), so the
-    ``sizes[t]`` stays live at step t are a prefix of that order. Step t's
-    rows are then the slice ``step(t)``, and a recurrent state carries on
-    from step t - 1 as its prefix ``[:sizes[t]]``. This is the layout of
-    PyTorch's ``pack_padded_sequence``.
-    """
-
-    order: np.ndarray    # (B,) batch rows, longest stay first
-    sizes: np.ndarray    # (T,) live stays per step, non-increasing
-    offsets: np.ndarray  # (T + 1,) first row of each step
-    cells: tuple[np.ndarray, np.ndarray]  # (batch row, step) of each packed row
-    prev: np.ndarray     # row of the same stay's previous step, per row past step 0
-
-    def step(self, t: int) -> slice:
-        return slice(self.offsets[t], self.offsets[t + 1])
-
-    def gather(self, grid: np.ndarray) -> np.ndarray:
-        """The packed rows of a (B, T, ...) array."""
-        return grid[self.cells]
-
-    def scatter(self, rows: Tensor) -> Tensor:
-        """Packed rows back on the (B, T, ...) grid, each padded cell 0."""
-        shape = (self.order.size, self.sizes.size) + rows.shape[1:]
-        return ad.scatter(rows, self.cells, shape)
-
-
-def pack(lengths: np.ndarray) -> Packed:
-    """The packed layout of stays with these step counts (each at least 1)."""
-    order = np.argsort(-lengths, kind="stable")
-    sizes = (lengths[None, :] > np.arange(lengths.max())[:, None]).sum(axis=1)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    cells = (np.concatenate([order[:n] for n in sizes]),
-             np.repeat(np.arange(sizes.size), sizes))
-    prev = np.arange(sizes[0], offsets[-1]) - np.repeat(sizes[:-1], sizes[1:])
-    return Packed(order, sizes, offsets, cells, prev)
-
-
 def _scan(step, state0: tuple, packed: Packed) -> Tensor:
     """Run the recurrence ``state = step(t, state, packed.step(t))`` over
     the steps, first cutting the state tensors to the live prefix. The
@@ -321,9 +279,9 @@ class ForwardOut:
 
 
 def _decode(model: EncoderModel, latents: Tensor, a_curr: np.ndarray,
-            sizes: np.ndarray) -> Tensor:
-    """Next-observation predictions (N, 33) from the packed latent rows
-    (N, d_s), laid out by ``sizes`` as in :class:`Packed`.
+            packed: Packed) -> Tensor:
+    """Next-observation predictions (N, 33) from the latent rows (N, d_s)
+    laid out by ``packed``.
 
     The signature decoder reads each stay's whole latent stream; the others
     are pointwise, and the AE/AIS decoders also read ``a_curr`` (N, 25),
@@ -333,7 +291,7 @@ def _decode(model: EncoderModel, latents: Tensor, a_curr: np.ndarray,
     if model.kind == "dst":
         conv = ad.relu(nn.dense(latents, p["dec.c1.w"], p["dec.c1.b"]))
         conv = ad.relu(nn.dense(conv, p["dec.c2.w"], p["dec.c2.b"]))
-        hid = ad.relu(sig2_linear(conv, p["dec.l1.w"], p["dec.l1.b"], sizes))
+        hid = ad.relu(sig2_linear(conv, p["dec.l1.w"], p["dec.l1.b"], packed))
         return nn.dense(hid, p["dec.l2.w"], p["dec.l2.b"])
     if model.kind in ("ae", "ais"):
         latents = ad.concat([latents, Tensor(a_curr)], axis=1)
@@ -384,7 +342,7 @@ def _forward_dst(model: EncoderModel, batch: Batch, packed: Packed):
     hidden = model.meta["gru_hidden"]
     inp = _inputs(batch, packed)
     stream = ad.concat([inp, nn.mlp(inp, p, "aug", (ad.relu, None))], axis=1)
-    gi1 = sig2_linear(stream, p["enc.gru1.w_ih"], p["enc.gru1.b_ih"], packed.sizes)
+    gi1 = sig2_linear(stream, p["enc.gru1.w_ih"], p["enc.gru1.b_ih"], packed)
 
     def step(t, state, rows):
         h2, h1 = state
@@ -503,7 +461,7 @@ def model_forward(model: EncoderModel, batch: Batch) -> ForwardOut:
         )
     packed = pack(batch.mask.sum(axis=1).astype(np.int64))
     latents, aux_ce = _FORWARDS[model.kind](model, batch, packed)
-    preds = _decode(model, latents, packed.gather(batch.a_curr), packed.sizes)
+    preds = _decode(model, latents, packed.gather(batch.a_curr), packed)
     return ForwardOut(packed.scatter(latents), packed.scatter(preds), aux_ce)
 
 
@@ -573,5 +531,5 @@ def predict_next_obs(model: EncoderModel, latent: np.ndarray, action_id: int) ->
     a_curr = np.zeros((latent.shape[0], N_ACTIONS))
     a_curr[-1, action_id] = 1.0
     with ad.no_grad():
-        pred = _decode(model, Tensor(latent), a_curr, np.ones(latent.shape[0], np.int64))
+        pred = _decode(model, Tensor(latent), a_curr, pack(np.array([latent.shape[0]])))
     return pred.data[-1].copy()

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .packing import Packed
 
 
 def sig_length(channels: int, depth: int) -> int:
@@ -199,15 +200,12 @@ def sig2_stream(x) -> Tensor:
     return ad.make_op(out, (x,), backward)
 
 
-def sig2_linear(x, w, b, sizes) -> Tensor:
-    """``sig2_stream @ w + b`` for paths packed time-major, without
-    building the (N, 1 + C + C^2) stream.
+def sig2_linear(x, w, b, packed: Packed) -> Tensor:
+    """``sig2_stream @ w + b`` for paths laid out as :class:`Packed` rows,
+    without building the (N, 1 + C + C^2) stream.
 
-    ``x`` (N, C) holds the points of B paths by step: ``sizes[t]`` paths,
-    a non-increasing count, have a point at step t, and step t's rows
-    follow step t - 1's in the same path order, so the path of rank r has
-    its point t at row ``sum(sizes[:t]) + r``. Row i of the output is the
-    projected stream row of row i's path and step.
+    Row i of ``x`` (N, C) is a point of one path, and row i of the output
+    is the projected stream row of that path up to that point.
 
     With dx_s the increment of segment s and m_s = S1_s + dx_s / 2 the
     level-1 value at its midpoint, the level-2 row at step t is
@@ -218,12 +216,6 @@ def sig2_linear(x, w, b, sizes) -> Tensor:
     backward pass; a one-point path gives w[0] + b.
     """
     x, w, b = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, w, b))
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if (x.ndim != 2 or sizes.ndim != 1 or sizes.size < 1 or sizes[-1] < 1
-            or np.any(np.diff(sizes) > 0) or int(sizes.sum()) != x.shape[0]):
-        raise ValueError(
-            f"sig2_linear expects x of shape (N, C) packed by a non-increasing "
-            f"positive sizes summing to N; got {x.shape} and sizes {sizes.tolist()}")
     n_rows, channels = x.shape
     width = 1 + channels + channels * channels
     if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
@@ -232,13 +224,9 @@ def sig2_linear(x, w, b, sizes) -> Tensor:
             f"and b of shape (K,); got {w.shape} and {b.shape}"
         )
     k_out = w.shape[1]
+    sizes, prev, first = packed.sizes, packed.prev, packed.first
     n0 = int(sizes[0])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    # for segment row i (the point at step t >= 1): its path's previous
-    # point and first point
-    prev = np.arange(n0, n_rows) - np.repeat(sizes[:-1], sizes[1:])
-    first = prev - np.repeat(offsets[:-2], sizes[1:])
-    seg = offsets[:-1] - n0  # where step t >= 1 starts among the segment rows
+    seg = packed.offsets[:-1] - n0  # where step t >= 1 starts among the segment rows
 
     data = x.data
     w1 = w.data[1:1 + channels]                                   # (C, K)

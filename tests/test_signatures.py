@@ -8,6 +8,7 @@ import pytest
 from seqstate import autodiff as ad
 from seqstate import nn
 from seqstate.autodiff import Tensor, grad_check
+from seqstate.packing import pack
 from seqstate.signatures import (SignatureVector, chen_product, sig2_linear,
                                  sig2_stream, sig_length, signature,
                                  stream_signature)
@@ -162,14 +163,14 @@ def test_signature_grad_checks():
 
 def _sig2_linear_case(rng, lengths, channels, k_out):
     """Random paths of ``lengths`` (longest first) as a (B, T, C) grid, the
-    same points packed time-major with their sizes, and a K-wide
-    projection: (grid, x, sizes, w, b)."""
+    same points packed time-major with their layout, and a K-wide
+    projection: (grid, x, packed, w, b)."""
     grid = rng.normal(size=(len(lengths), max(lengths), channels))
-    sizes = [sum(n > t for n in lengths) for t in range(max(lengths))]
-    x = np.concatenate([grid[:n, t] for t, n in enumerate(sizes)])
+    packed = pack(np.array(lengths))
+    x = packed.gather(grid)
     w = rng.normal(size=(sig_length(channels, 2), k_out))
     b = rng.normal(size=k_out)
-    return grid, x, sizes, w, b
+    return grid, x, packed, w, b
 
 
 @pytest.mark.parametrize("t_len,channels,k_out",
@@ -181,30 +182,29 @@ def test_sig2_linear_matches_projected_stream(t_len, channels, k_out):
     # different lengths, so the live prefix shrinks
     rng = np.random.default_rng(t_len * 100 + channels)
     lengths = (t_len, (t_len + 1) // 2, 1)
-    grid, x, sizes, w, b = _sig2_linear_case(rng, lengths, channels, k_out)
-    got = sig2_linear(x, w, b, sizes).data
+    grid, x, packed, w, b = _sig2_linear_case(rng, lengths, channels, k_out)
+    got = sig2_linear(x, w, b, packed).data
     assert got.shape == (sum(lengths), k_out)
-    offsets = np.cumsum([0] + sizes)
     for r, n in enumerate(lengths):
         want = nn.dense(sig2_stream(grid[r:r + 1, :n]), Tensor(w), Tensor(b)).data[0]
-        rows = got[offsets[:n] + r]
+        rows = got[packed.offsets[:n] + r]
         assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_sig2_linear_of_one_point_is_bias_plus_level0_row():
     rng = np.random.default_rng(11)
-    _grid, x, sizes, w, b = _sig2_linear_case(rng, (1, 1), 3, 5)
-    out = sig2_linear(x, w, b, sizes).data
+    _grid, x, packed, w, b = _sig2_linear_case(rng, (1, 1), 3, 5)
+    out = sig2_linear(x, w, b, packed).data
     assert np.array_equal(out, np.broadcast_to(w[0] + b, (2, 5)))
 
 
 def test_sig2_linear_grad_checks():
     rng = np.random.default_rng(12)
-    _grid, x, sizes, w, b = _sig2_linear_case(rng, (4, 3, 1), 3, 2)
+    _grid, x, packed, w, b = _sig2_linear_case(rng, (4, 3, 1), 3, 2)
     weight = Tensor(rng.normal(size=(8, 2)))
 
     def loss(xt, wt, bt):
-        return ad.tsum(ad.mul(sig2_linear(xt, wt, bt, sizes), weight))
+        return ad.tsum(ad.mul(sig2_linear(xt, wt, bt, packed), weight))
 
     assert grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), x) < 1e-6
     assert grad_check(lambda t: loss(Tensor(x), t, Tensor(b)), w) < 1e-6
@@ -213,16 +213,9 @@ def test_sig2_linear_grad_checks():
 
 def test_sig2_linear_rejects_mismatched_weights():
     x = np.zeros((6, 3))
+    packed = pack(np.array([3, 3]))
     with pytest.raises(ValueError):
-        sig2_linear(x, np.zeros((12, 2)), np.zeros(2), [2, 2, 2])  # needs 13 rows
+        sig2_linear(x, np.zeros((12, 2)), np.zeros(2), packed)  # needs 13 rows
     with pytest.raises(ValueError):
-        sig2_linear(x, np.zeros((13, 2)), np.zeros(3), [2, 2, 2])
+        sig2_linear(x, np.zeros((13, 2)), np.zeros(3), packed)
 
-
-@pytest.mark.parametrize("shape, sizes", [
-    ((6, 3), [2, 2]), ((6, 3), [1, 2, 3]), ((6, 3), [3, 3, 0]), ((1, 6, 3), [6]),
-], ids=["sizes-short", "sizes-growing", "empty-step", "grid-input"])
-def test_sig2_linear_rejects_a_bad_layout(shape, sizes):
-    x = np.zeros(shape)
-    with pytest.raises(ValueError, match="packed"):
-        sig2_linear(x, np.zeros((13, 2)), np.zeros(2), sizes)
