@@ -35,7 +35,7 @@ from .runio import (DataError, load_encoder_run, read_json, save_encoder_run,
                     save_policy_run, write_csv, write_json)
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import (DESK_EPOCHS, DESK_SUBSTEPS, REFERENCE_EPOCHS, TrainingDiverged,
-                       default_train_config, train_encoder)
+                       check_splits, default_train_config, train_encoder)
 
 DESK_POLICY_ITERATIONS = 20_000
 
@@ -185,9 +185,10 @@ def run_encoder_training(*, cohort_path: str, out_dir: str, kind: str, d_s: int,
     if lr is not None:
         cfg.lr = lr
     try:
-        result = train_encoder(model, train, val, cfg)
-    except ValueError as exc:  # the splits cannot train or validate a model
+        check_splits(train, val)
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
+    result = train_encoder(model, train, val, cfg)
     run_config = {
         "command": "train-encoder", "cohort": str(cohort_path), "kind": kind,
         "d_s": d_s, "mode": mode, "reg": reg, "split_seed": split_seed,

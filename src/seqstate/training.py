@@ -188,19 +188,26 @@ def mean_predictor_baseline(train_trajs: list[Trajectory],
     return total / (count * N_OBS)
 
 
-def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
-                  val_trajs: list[Trajectory], config: TrainConfig) -> TrainResult:
-    """Train in place; returns the best-validation-MSE checkpoint."""
+def check_splits(train_trajs: list[Trajectory], val_trajs: list[Trajectory]) -> None:
+    """Raise ValueError if these splits cannot train and validate a model:
+    one is empty, they share a patient, or no validation stay has a
+    (t -> t+1) pair, which leaves the validation MSE undefined."""
     if not train_trajs or not val_trajs:
         raise ValueError("training and validation splits must be nonempty")
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ValueError("epochs and batch_size must be at least 1")
     train_ids = {t.patient_id for t in train_trajs}
     if any(t.patient_id in train_ids for t in val_trajs):
         raise ValueError("training and validation splits overlap")
     if all(t.n_steps < 2 for t in val_trajs):
         raise ValueError("the validation split has no (t -> t+1) pair: every stay "
                          "is one step, so the validation MSE is undefined")
+
+
+def train_encoder(model: EncoderModel, train_trajs: list[Trajectory],
+                  val_trajs: list[Trajectory], config: TrainConfig) -> TrainResult:
+    """Train in place; returns the best-validation-MSE checkpoint."""
+    check_splits(train_trajs, val_trajs)
+    if config.epochs < 1 or config.batch_size < 1:
+        raise ValueError("epochs and batch_size must be at least 1")
     if config.solver_substeps is not None and "substeps" in model.meta:
         model.meta["substeps"] = config.solver_substeps
     if config.lambda_scale is not None:

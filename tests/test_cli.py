@@ -287,6 +287,20 @@ def test_validation_without_a_pair_is_data_error(tmp_path, cohort_csv, capsys):
     assert "validation split has no (t -> t+1) pair" in err
 
 
+def test_value_error_inside_training_is_not_data_error(tmp_path, cohort_csv, monkeypatch):
+    # only the split checks before training map to exit 3; a ValueError
+    # raised by the training itself is a program fault and stays loud
+    from seqstate import cli
+
+    def boom(*args, **kwargs):
+        raise ValueError("shape mismatch inside a forward pass")
+
+    monkeypatch.setattr(cli, "train_encoder", boom)
+    with pytest.raises(ValueError, match="inside a forward pass"):
+        main(["train-encoder", "--cohort", str(cohort_csv), "--kind", "ae",
+              "--d-s", "4", "--epochs", "1", "--out", str(tmp_path / "out")])
+
+
 def test_default_dimension_grid_is_the_reference_grid():
     from seqstate.encoders import D_S_GRID
 
